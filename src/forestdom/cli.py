@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -166,22 +167,43 @@ def _verify_lines(payload: dict) -> list[str]:
     ]
 
 
+def _checked_cap(cap: int) -> int:
+    if cap < 0:
+        raise ValueError(f"--cap must be non-negative, got {cap}")
+    return cap
+
+
+def _worker_count(requested: int) -> int:
+    """Worker processes for ``sweep --parallel``: 1 up to the CPU count."""
+    if requested < 1:
+        raise ValueError(f"--parallel must be at least 1, got {requested}")
+    return min(requested, os.cpu_count() or 1)
+
+
 def cmd_verify(args) -> int:
+    cap = _checked_cap(args.cap)
     seq = DegreeSequence.parse(args.sequence)
-    payload = _verify_payload(seq.degrees, args.cap)
+    payload = _verify_payload(seq.degrees, cap)
     _emit(args, payload, _verify_lines(payload))
     return EXIT_OK if payload["match"] else EXIT_MISMATCH
 
 
 def cmd_sweep(args) -> int:
+    cap = _checked_cap(args.cap)
+    workers = _worker_count(args.parallel)
     sequences = [seq.degrees for seq in sweep_sequences(args.max_n)]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(_verify_payload, sequences, [args.cap] * len(sequences))
+                pool.map(
+                    _verify_payload,
+                    sequences,
+                    [cap] * len(sequences),
+                    chunksize=max(1, len(sequences) // (4 * workers)),
+                )
             )
     else:
-        results = [_verify_payload(degs, args.cap) for degs in sequences]
+        results = [_verify_payload(degs, cap) for degs in sequences]
     mismatches = [r for r in results if not r["match"]]
     if args.json:
         print(
@@ -268,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, "verify every admissible sequence up to max-n")
     p.add_argument("--max-n", type=int, default=DEFAULT_SWEEP_MAX_N)
     p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
-    p.add_argument("--parallel", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--parallel", type=int, default=1, help="worker processes (capped at CPU count)"
+    )
 
     p = add("swap-search", cmd_swap_search, "heuristic hill-climb on gamma")
     p.add_argument("sequence")

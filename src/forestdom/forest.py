@@ -378,14 +378,15 @@ def from_json(text: str) -> Forest:
         raise ForestFormatError("expected an object with fields 'n' and 'edges'")
     n = payload["n"]
     edges = payload["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
+    # type() rather than isinstance(): JSON true/false load as bool, an int
+    if type(n) is not int or not isinstance(edges, list):
         raise ForestFormatError("'n' must be an integer and 'edges' a list")
     pairs = []
     for item in edges:
         if not (isinstance(item, list) and len(item) == 2):
             raise ForestFormatError(f"edge {item!r} is not a two-element list")
         u, v = item
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:
             raise ForestFormatError(f"edge {item!r} has non-integer endpoints")
         pairs.append((u, v))
     return Forest(n, pairs)

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 
 from .construct import realize_any
 from .degseq import DegreeSequence, as_degree_sequence, validate
-from .forest import Forest
+from .forest import Forest, ForestError
 
 DEFAULT_SIZE_CAP = 14
 DEFAULT_SWEEP_MAX_N = 10
@@ -280,27 +280,33 @@ def sweep_sequences(max_n: int) -> Iterator[DegreeSequence]:
 
 def _forest_value(n: int, edges: list[tuple[int, int]]) -> "int | None":
     """Domination number if the edge list is a simple forest, else None."""
-    if len(set(edges)) != len(edges):
+    try:
+        forest = Forest(n, edges)
+    except ForestError:
         return None
-    parent = list(range(n))
+    return forest.domination_number()[0]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
+def _edge_mask(n: int, edges: Iterable[tuple[int, int]]) -> int:
+    """The edge set as a bitmask: bit ``u * n + v`` for edge ``(u, v)``, u < v."""
+    mask = 0
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return None
-        parent[rv] = ru
-    gamma, _ = Forest(n, edges).domination_number()
-    return gamma
+        mask |= 1 << (u * n + v)
+    return mask
 
 
-def _swap_candidates(edges: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]]]:
-    """Degree-preserving rewirings of two disjoint edges, both pairings."""
+# (i, j, e1, e2, key): edges i and j give way to e1 and e2, giving edge set key
+_Move = tuple[int, int, tuple[int, int], tuple[int, int], int]
+
+
+def _swap_moves(n: int, edges: list[tuple[int, int]], mask: int) -> Iterator[_Move]:
+    """Degree-preserving rewirings of two disjoint edges, both pairings.
+
+    Yields ``(i, j, e1, e2, key)``: ``edges[i]`` and ``edges[j]`` give
+    way to ``e1`` and ``e2``, and ``key`` is the ``_edge_mask`` of the
+    result, whose edges are given by ``mask``.  A rewiring onto an edge
+    that is still present would make a multigraph and is skipped.
+    """
     count = len(edges)
     for i in range(count):
         a, b = edges[i]
@@ -308,11 +314,19 @@ def _swap_candidates(edges: list[tuple[int, int]]) -> Iterator[list[tuple[int, i
             c, d = edges[j]
             if c in (a, b) or d in (a, b):
                 continue
-            rest = [edges[k] for k in range(count) if k != i and k != j]
+            rest = mask ^ (1 << (a * n + b)) ^ (1 << (c * n + d))
             for e1, e2 in (((a, c), (b, d)), ((a, d), (b, c))):
                 e1 = e1 if e1[0] < e1[1] else (e1[1], e1[0])
                 e2 = e2 if e2[0] < e2[1] else (e2[1], e2[0])
-                yield rest + [e1, e2]
+                added = (1 << (e1[0] * n + e1[1])) | (1 << (e2[0] * n + e2[1]))
+                if not rest & added:
+                    yield i, j, e1, e2, rest | added
+
+
+def _apply_move(edges: list[tuple[int, int]], move: _Move) -> list[tuple[int, int]]:
+    """The edge list after a move: the untouched edges in order, then e1, e2."""
+    i, j, e1, e2, _ = move
+    return [e for k, e in enumerate(edges) if k != i and k != j] + [e1, e2]
 
 
 def swap_search_gamma(
@@ -327,47 +341,65 @@ def swap_search_gamma(
     otherwise a random neutral one, at most 10 * n neutral steps per
     restart.  The result is always a realization of `degrees`, so its
     domination number never exceeds the closed-form maximum; reaching
-    it is not guaranteed.
+    it is not guaranteed.  Each call memoizes the value of every edge
+    set it meets, so the domination DP runs once per distinct forest.
     """
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     rng = random.Random(seed)
     start = realize_any(seq)  # raises PreconditionError on zero entries
     n = stats.n
+    start_mask = _edge_mask(n, start.edges)
+    # edge-set bitmask -> domination number, or None for a cyclic edge set;
+    # the value depends on the edge set alone, so the memo changes no
+    # choice and no draw from rng.  Every edge set the search stands on is
+    # the start or a move it took, so its value is always in here.
+    memo: dict[int, "int | None"] = {start_mask: start.domination_number()[0]}
+
+    def move_value(edges: list[tuple[int, int]], move: _Move) -> "int | None":
+        key = move[4]
+        if key not in memo:
+            memo[key] = _forest_value(n, _apply_move(edges, move))
+        return memo[key]
+
     best_forest = None
     best_gamma = -1
     for restart in range(max(1, restarts)):
         edges = list(start.edges)
+        mask = start_mask
         if restart > 0:
             for _ in range(3 * n):
                 options = [
-                    cand
-                    for cand in _swap_candidates(edges)
-                    if _forest_value(n, cand) is not None
+                    move
+                    for move in _swap_moves(n, edges, mask)
+                    if move_value(edges, move) is not None
                 ]
                 if not options:
                     break
-                edges = rng.choice(options)
-        current = _forest_value(n, edges)
+                move = rng.choice(options)
+                edges, mask = _apply_move(edges, move), move[4]
+        current = memo[mask]
         assert current is not None
         neutral_budget = 10 * n
         while True:
             best_move = None
             best_move_gamma = current
-            neutral: list[list[tuple[int, int]]] = []
-            for cand in _swap_candidates(edges):
-                value = _forest_value(n, cand)
+            neutral: list[_Move] = []
+            for move in _swap_moves(n, edges, mask):
+                value = move_value(edges, move)
                 if value is None:
                     continue
                 if value > best_move_gamma:
-                    best_move, best_move_gamma = cand, value
+                    best_move, best_move_gamma = move, value
                 elif value == current:
-                    neutral.append(cand)
+                    neutral.append(move)
             if best_move is not None:
-                edges, current = best_move, best_move_gamma
+                edges, mask = _apply_move(edges, best_move), best_move[4]
+                current = best_move_gamma
                 continue
             if neutral and neutral_budget > 0:
-                edges = rng.choice(neutral)
+                move = rng.choice(neutral)
+                edges, mask = _apply_move(edges, move), move[4]
                 neutral_budget -= 1
                 continue
             break

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from forestdom import cli
 from forestdom.cli import main
 from forestdom.degseq import DegreeSequence
 from forestdom.forest import read_forest
@@ -133,6 +136,45 @@ def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, ["verify", "--cap", "3", "2,2,1,1"])
     assert code == 3
     assert "SizeCapExceededError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--cap", "-1", "2,1,1"],
+        ["sweep", "--max-n", "5", "--cap", "-1"],
+        ["sweep", "--max-n", "2", "--cap", "-1"],
+    ],
+)
+def test_negative_cap_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "--cap must be non-negative" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_parallel_below_one(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, err = run(capsys, ["sweep", "--max-n", "5", "--parallel", workers])
+    assert code == 1
+    assert out == ""
+    assert "--parallel must be at least 1" in err
+
+
+def test_worker_count_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._worker_count(1) == 1
+    assert cli._worker_count(4) == 4
+    assert cli._worker_count(10**9) == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._worker_count(3) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            cli._worker_count(bad)
 
 
 def test_sweep_serial(capsys):

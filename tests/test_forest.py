@@ -261,3 +261,16 @@ def test_format_errors():
         from_text("n 3\n0 1 2\n")
     with pytest.raises(CycleDetectedError):
         from_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[false, true]]}',
+        '{"n": 3, "edges": [[0, 1], [1, true]]}',
+    ],
+)
+def test_json_booleans_are_not_integers(doc):
+    with pytest.raises(ForestFormatError):
+        from_text(doc)

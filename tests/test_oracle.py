@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,10 +7,15 @@ from brute import brute_realizations
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
+from forestdom import oracle
 from forestdom.oracle import (
     DEFAULT_SIZE_CAP,
     SizeCapExceededError,
+    _apply_move,
     _canonical_key,
+    _edge_mask,
+    _forest_value,
+    _swap_moves,
     empirical_extremes,
     enumerate_realizations,
     sweep_sequences,
@@ -188,3 +194,64 @@ def test_swap_search_is_seed_deterministic():
     a = swap_search_gamma((3, 2, 2, 1, 1, 1, 1, 1), restarts=6, seed=42)
     b = swap_search_gamma((3, 2, 2, 1, 1, 1, 1, 1), restarts=6, seed=42)
     assert a == b
+
+
+# SHA-256 of repr([swap_search_gamma(seq, restarts=20, seed=11).edges
+#                  for seq in sweep_sequences(7)]), recorded from the search
+# before it memoized values and built moves lazily; both must leave every
+# choice, and so every seeded result, unchanged
+SWAP_N7_SEED11_SHA256 = (
+    "fb8cf08c27cead8450c59f1bd741909e590fbad4d861a840f4b03f13fd7b2c13"
+)
+
+
+def test_swap_search_outputs_are_pinned():
+    found = [
+        swap_search_gamma(seq, restarts=20, seed=11).edges
+        for seq in sweep_sequences(7)
+    ]
+    assert len(found) == 25
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == SWAP_N7_SEED11_SHA256
+
+
+def test_swap_moves_are_simple_two_switches():
+    n = 6
+    edges = [(0, 1), (2, 3), (0, 2), (3, 4), (4, 5)]
+    moves = list(_swap_moves(n, edges, _edge_mask(n, edges)))
+    # (0, 1), (2, 3) -> (0, 2), (1, 3) would repeat the edge (0, 2)
+    assert not any(move[:4] == (0, 1, (0, 2), (1, 3)) for move in moves)
+    assert any(move[:4] == (0, 1, (0, 3), (1, 2)) for move in moves)
+    for move in moves:
+        after = _apply_move(edges, move)
+        assert len(set(after)) == len(after)
+        assert move[4] == _edge_mask(n, after)
+        # degree-preserving: the same endpoints, re-paired
+        assert sorted(sum(after, ())) == sorted(sum(edges, ()))
+
+
+def test_cyclic_switch_is_rejected():
+    n = 6
+    path = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    moves = _swap_moves(n, path, _edge_mask(n, path))
+    by_pairing = {
+        move[2:4]: _forest_value(n, _apply_move(path, move))
+        for move in moves
+        if move[:2] == (0, 4)
+    }
+    # (1, 4) closes the cycle 1-2-3-4; (0, 4), (1, 5) leaves a path
+    assert by_pairing == {((0, 4), (1, 5)): 2, ((0, 5), (1, 4)): None}
+
+
+def test_swap_search_runs_one_dp_per_distinct_forest(monkeypatch):
+    evaluated = []
+    real = oracle._forest_value
+
+    def counting(n, edges):
+        assert len(set(edges)) == len(edges)  # repeated edges never reach it
+        evaluated.append(frozenset(edges))
+        return real(n, edges)
+
+    monkeypatch.setattr(oracle, "_forest_value", counting)
+    swap_search_gamma((3, 2, 2, 1, 1, 1, 1, 1), restarts=6, seed=42)
+    assert evaluated
+    assert len(evaluated) == len(set(evaluated))
