@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid input, 2 verification mismatch,
-3 enumeration size cap exceeded.
+3 enumeration size cap exceeded, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
+EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -313,6 +314,9 @@ def main(argv=None) -> int:
     except (DegreeSequenceError, ForestError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

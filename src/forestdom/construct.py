@@ -3,7 +3,8 @@
 ``realize_any`` produces some realization, the remaining builders
 produce realizations that attain the closed-form extremes: one leaf per
 support vertex when leaves are scarce, an all-support tree when leaves
-dominate, and a peeling recursion gluing 2-vertex components on top.
+dominate, and as many 2-vertex components as the closed-form branch
+allows glued on top.
 All labellings are canonical, so every builder is deterministic.
 """
 
@@ -18,7 +19,6 @@ from .degseq import (
     Branch,
     DegreeSequence,
     as_degree_sequence,
-    peel_k2,
     validate,
 )
 from .forest import Forest
@@ -177,27 +177,26 @@ def all_support_tree(degrees: "DegreeSequence | Iterable[int]") -> Forest:
 def extremal_build(degrees: "DegreeSequence | Iterable[int]") -> ExtremalCertificate:
     """Build a realization attaining gamma_max and alpha_min at once.
 
-    Peels 2-vertex components while the sequence stays leaf-heavy with
-    c >= 2, finishes with the matching base construction, and re-adds
-    the peeled components.  The certificate carries solver values next
-    to the closed-form ones so callers can check they agree.
+    Splits off as many 2-vertex components as the branch allows (all
+    c - 1 in branch A, ceil((n1 - n_ge2) / 2) in branch B, none in C),
+    builds the rest with the all-support tree (A) or the matching base
+    construction (B, C), and re-adds the split components.  The
+    certificate carries solver values next to the closed-form ones so
+    callers can check they agree.
     """
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     if stats.n0 != 0 or stats.n_ge2 == 0:
         raise PreconditionError("need a zero-free sequence with an entry >= 2")
     values = extremal_values(seq)
-    core = seq
-    core_stats = stats
-    peeled = 0
-    while core_stats.n1 > core_stats.n_ge2 and core_stats.c > 1:
-        core = peel_k2(core)
-        core_stats = validate(core)
-        peeled += 1
-    if core_stats.n1 <= core_stats.n_ge2:
-        base = matched_support_forest(core)
+    if values.branch is Branch.A:
+        peeled, build = stats.c - 1, all_support_tree
+    elif values.branch is Branch.B:
+        peeled, build = (stats.n1 - stats.n_ge2 + 1) // 2, matched_support_forest
     else:
-        base = all_support_tree(core)
+        peeled, build = 0, matched_support_forest
+    # the sequence is non-increasing, so each peel drops two trailing 1s
+    base = build(seq.degrees[: stats.n - 2 * peeled])
     edges = list(base.edges)
     offset = base.n
     for _ in range(peeled):

@@ -87,7 +87,8 @@ class Forest:
             adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(normalized))
-        object.__setattr__(self, "adj", tuple(tuple(sorted(nb)) for nb in adj))
+        # ascending already: edges are sorted with the smaller endpoint first
+        object.__setattr__(self, "adj", tuple(tuple(nb) for nb in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest instances are immutable")
@@ -118,23 +119,15 @@ class Forest:
 
     def components(self) -> list[VertexSet]:
         """Vertex sets of the components, ordered by smallest member."""
-        seen = [False] * self.n
-        out: list[VertexSet] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            queue = deque([start])
-            comp = [start]
-            while queue:
-                v = queue.popleft()
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        queue.append(w)
-            out.append(frozenset(comp))
-        return out
+        order, _, roots = self._rooted()
+        # each component is the run of the BFS order that starts at its root
+        starts = set(roots)
+        comps: list[list[int]] = []
+        for v in order:
+            if v in starts:
+                comps.append([])
+            comps[-1].append(v)
+        return [frozenset(comp) for comp in comps]
 
     def support_vertices(self) -> VertexSet:
         """Vertices of degree >= 2 adjacent to at least one leaf."""
@@ -161,11 +154,7 @@ class Forest:
         cost_in = [0] * n
         cost_cov = [0] * n  # not in set, some child in set
         cost_open = [0] * n  # not in set, must be covered by parent
-        order, parents, roots = self._rooted_order()
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in order:
-            if parents[v] >= 0:
-                children[parents[v]].append(v)
+        order, children, roots = self._rooted()
         for v in reversed(order):
             kids = children[v]
             if not kids:
@@ -233,11 +222,7 @@ class Forest:
             return 0, frozenset()
         size_in = [0] * n
         size_out = [0] * n
-        order, parents, roots = self._rooted_order()
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in order:
-            if parents[v] >= 0:
-                children[parents[v]].append(v)
+        order, children, roots = self._rooted()
         for v in reversed(order):
             kids = children[v]
             size_in[v] = 1 + sum(size_out[k] for k in kids)
@@ -259,10 +244,15 @@ class Forest:
                     stack.append((k, size_in[k] >= size_out[k]))
         return total, frozenset(chosen)
 
-    def _rooted_order(self) -> tuple[list[int], list[int], list[int]]:
-        """BFS order, parent array, and per-component roots (min labels)."""
-        parents = [-1] * self.n
+    def _rooted(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """BFS order, children lists, and per-component roots (min labels).
+
+        Each component is rooted at its smallest label and occupies one
+        contiguous run of the order; ``children[v]`` lists the children
+        of ``v`` in discovery order, which is ascending.
+        """
         seen = [False] * self.n
+        children: list[list[int]] = [[] for _ in range(self.n)]
         order: list[int] = []
         roots: list[int] = []
         for start in range(self.n):
@@ -277,9 +267,9 @@ class Forest:
                 for w in self.adj[v]:
                     if not seen[w]:
                         seen[w] = True
-                        parents[w] = v
+                        children[v].append(w)
                         queue.append(w)
-        return order, parents, roots
+        return order, children, roots
 
     # ------------------------------------------------------------------
     # paths and partial domination
@@ -293,18 +283,16 @@ class Forest:
         """
         if self.component_count() != 1:
             raise NotConnectedError("longest_path needs exactly one component")
-        first, _ = self._farthest_from(0, set())
-        last, parent = self._farthest_from(first, set())
+        first, _ = self._farthest_from(0)
+        last, parent = self._farthest_from(first)
         path = [last]
         while path[-1] != first:
             path.append(parent[path[-1]])
         path.reverse()
         return path
 
-    def _farthest_from(
-        self, start: int, cut: set[tuple[int, int]]
-    ) -> tuple[int, dict[int, int]]:
-        """Farthest vertex (smallest label on ties) ignoring cut edges."""
+    def _farthest_from(self, start: int) -> tuple[int, dict[int, int]]:
+        """Farthest vertex (smallest label on ties) and the BFS parents."""
         dist = {start: 0}
         parent = {start: -1}
         queue = deque([start])
@@ -314,8 +302,6 @@ class Forest:
             for w in self.adj[v]:
                 if w in dist:
                     continue
-                if (v, w) in cut or (w, v) in cut:
-                    continue
                 dist[w] = dist[v] + 1
                 parent[w] = v
                 queue.append(w)
@@ -324,34 +310,30 @@ class Forest:
         return best, parent
 
     def internal_dominating_set(self) -> VertexSet:
-        """A small set whose members cover every vertex of degree >= 2.
+        """A minimum set whose members cover every vertex of degree >= 2.
 
         For a tree of order n the result has at most ceil((n - 2) / 3)
         vertices, and every vertex of degree >= 2 outside it has a
-        neighbour inside.  Repeatedly takes the third vertex of a
-        longest path, cuts behind it, and continues in the far part;
-        a remaining star contributes its centre.
+        neighbour inside.  Linear deepest-first greedy (Cockayne,
+        Goodman and Hedetniemi, 1975): an uncovered inner vertex whose
+        subtree is settled is best covered by its parent, which also
+        covers the most vertices still to come; the root covers itself.
         """
         if self.component_count() != 1:
             raise NotConnectedError("internal_dominating_set needs one component")
-        cut: set[tuple[int, int]] = set()
+        adj = self.adj
+        order, children, _ = self._rooted()
+        covered = [False] * self.n
         chosen: list[int] = []
-        root = 0
-        while True:
-            first, _ = self._farthest_from(root, cut)
-            last, parent = self._farthest_from(first, cut)
-            path = [last]
-            while path[-1] != first:
-                path.append(parent[path[-1]])
-            path.reverse()
-            if len(path) <= 3:
-                if len(path) == 3:
-                    chosen.append(path[1])
-                break
-            u2, u3 = path[2], path[3]
-            chosen.append(u2)
-            cut.add((u2, u3) if u2 < u3 else (u3, u2))
-            root = u3
+        root = order[0]
+        for v in reversed(order):
+            if any(len(adj[k]) >= 2 and not covered[k] for k in children[v]) or (
+                v == root and len(adj[v]) >= 2 and not covered[v]
+            ):
+                chosen.append(v)
+                covered[v] = True
+                for w in adj[v]:
+                    covered[w] = True
         return frozenset(chosen)
 
     # ------------------------------------------------------------------

@@ -343,12 +343,16 @@ def swap_search_gamma(
     domination number never exceeds the closed-form maximum; reaching
     it is not guaranteed.  Each call memoizes the value of every edge
     set it meets, so the domination DP runs once per distinct forest.
+    Zero entries take no part in the search; they are the trailing
+    labels, so they come out as isolated vertices.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     rng = random.Random(seed)
-    start = realize_any(seq)  # raises PreconditionError on zero entries
-    n = stats.n
+    start = realize_any(seq.without_zeros())
+    n = start.n
     start_mask = _edge_mask(n, start.edges)
     # edge-set bitmask -> domination number, or None for a cyclic edge set;
     # the value depends on the edge set alone, so the memo changes no
@@ -364,7 +368,7 @@ def swap_search_gamma(
 
     best_forest = None
     best_gamma = -1
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         edges = list(start.edges)
         mask = start_mask
         if restart > 0:
@@ -405,6 +409,6 @@ def swap_search_gamma(
             break
         if current > best_gamma:
             best_gamma = current
-            best_forest = Forest(n, edges)
+            best_forest = Forest(stats.n, edges)
     assert best_forest is not None
     return best_forest

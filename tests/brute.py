@@ -27,6 +27,23 @@ def brute_domination_number(n: int, edges) -> int:
     raise AssertionError("the full vertex set always dominates")
 
 
+def brute_internal_domination_number(n: int, edges) -> int:
+    """Smallest set covering every vertex of degree >= 2, by subset search."""
+    closed = [{v} for v in range(n)]
+    for u, v in edges:
+        closed[u].add(v)
+        closed[v].add(u)
+    inner = {v for v in range(n) if len(closed[v]) >= 3}
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            covered = set()
+            for v in subset:
+                covered |= closed[v]
+            if inner <= covered:
+                return size
+    raise AssertionError("the full vertex set always covers")
+
+
 def brute_independence_number(n: int, edges) -> int:
     """Largest independent set size by exhaustive subset search."""
     edge_set = {(u, v) for u, v in edges} | {(v, u) for u, v in edges}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from forestdom import cli
+from forestdom import cli, oracle
 from forestdom.cli import main
 from forestdom.degseq import DegreeSequence
 from forestdom.forest import read_forest
@@ -226,3 +226,37 @@ def test_swap_search(capsys, tmp_path):
     found = read_forest(path)
     assert found.degree_sequence() == DegreeSequence((2, 2, 1, 1, 1, 1, 1, 1))
     assert found.domination_number()[0] == payload["gamma_found"]
+
+
+@pytest.mark.parametrize("restarts", ["0", "-5"])
+def test_swap_search_rejects_restarts_below_one(capsys, monkeypatch, restarts):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(oracle, "realize_any", no_search)
+    code, out, err = run(
+        capsys, ["swap-search", "--json", "--restarts", restarts, "2,2,1,1,1,1,1,1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert "restarts must be at least 1" in err
+
+
+def test_swap_search_with_zero_entries(capsys):
+    code, out, err = run(capsys, ["swap-search", "--json", "2,1,1,0"])
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["gamma_found"] == payload["gamma_max"] == 2
+    assert payload["attained"] is True
+
+
+def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_eval", interrupted)
+    code, out, err = run(capsys, ["eval", "2,1,1"])
+    assert code == 130
+    assert out == ""
+    assert err == "interrupted\n"

@@ -169,6 +169,20 @@ def test_extremal_build_examples():
     assert (cert.gamma, cert.alpha) == (1, 3)
     assert cert.branch is Branch.A
 
+    # branch A with c = 3: all c - 1 components are split off
+    cert = extremal_build((3, 3) + (1,) * 8)
+    assert cert.forest.edges == (
+        (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (6, 7), (8, 9)
+    )
+    assert cert.branch is Branch.A
+
+    # branch B with c = 5: ceil((n1 - n_ge2) / 2) = 4 components split off
+    cert = extremal_build((2, 2, 2) + (1,) * 10)
+    assert cert.forest.edges == (
+        (0, 2), (0, 4), (1, 3), (1, 4), (5, 6), (7, 8), (9, 10), (11, 12)
+    )
+    assert cert.branch is Branch.B
+
 
 def test_extremal_build_certificates_tight_over_sweep():
     for seq in sweep_sequences(10):

@@ -17,7 +17,11 @@ from forestdom.forest import (
     write_forest,
 )
 
-from brute import brute_domination_number, brute_independence_number
+from brute import (
+    brute_domination_number,
+    brute_independence_number,
+    brute_internal_domination_number,
+)
 
 
 def path(n):
@@ -47,6 +51,14 @@ def test_edges_normalized_sorted():
     forest = Forest(4, [(3, 2), (1, 0), (2, 1)])
     assert forest.edges == ((0, 1), (1, 2), (2, 3))
     assert forest.adj[1] == (0, 2)
+    rng = random.Random(8)
+    for seed in range(20):
+        tree = random_forest(30, 3, seed=seed)
+        shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in tree.edges]
+        rng.shuffle(shuffled)
+        again = Forest(30, shuffled)
+        assert again.edges == tree.edges
+        assert all(list(nb) == sorted(nb) for nb in again.adj)
 
 
 def test_value_semantics():
@@ -198,6 +210,16 @@ def test_internal_dominating_set_examples():
     assert star(3).internal_dominating_set() == {0}
     seven = path(7).internal_dominating_set()
     assert len(seven) <= 2
+
+
+def test_internal_dominating_set_is_minimum():
+    rng = random.Random(4)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        tree = random_forest(n, 1, seed=rng.randint(0, 10**6))
+        assert len(tree.internal_dominating_set()) == (
+            brute_internal_domination_number(n, tree.edges)
+        )
 
 
 def test_internal_dominating_set_needs_connected():

@@ -7,6 +7,7 @@ from brute import brute_realizations
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
+from forestdom.forest import Forest
 from forestdom import oracle
 from forestdom.oracle import (
     DEFAULT_SIZE_CAP,
@@ -181,6 +182,23 @@ def test_swap_search_returns_a_realization():
         found = swap_search_gamma(seq, restarts=5, seed=3)
         assert found.degree_sequence() == DegreeSequence(seq)
         assert found.domination_number()[0] <= extremal_values(seq).gamma_max
+
+
+def test_swap_search_zero_entries_become_isolated_vertices():
+    plain = swap_search_gamma((3, 2, 1, 1, 1, 1, 1), restarts=5, seed=3)
+    padded = swap_search_gamma((3, 2, 1, 1, 1, 1, 1, 0, 0), restarts=5, seed=3)
+    assert padded == Forest(9, plain.edges)
+    assert padded.domination_number()[0] == plain.domination_number()[0] + 2
+
+
+@pytest.mark.parametrize("restarts", [0, -5])
+def test_swap_search_rejects_restarts_below_one(monkeypatch, restarts):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(oracle, "realize_any", no_search)
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=restarts)
 
 
 def test_swap_search_attains_known_maxima():
