@@ -1,10 +1,11 @@
 """Degree sequences and their forest realizability.
 
 A sequence of non-negative integers is the degree sequence of a forest
-exactly when its total is even and at most ``2 * (n - n0) - 2``, where
-``n0`` counts zero entries.  Writing the total as ``2 * (n - n0) - 2c``
-for a positive integer ``c``, every realization consists of ``n0``
-isolated vertices plus exactly ``c`` non-trivial tree components.
+exactly when it is all zeros, or its total is even and at most
+``2 * (n - n0) - 2``, where ``n0`` counts zero entries.  Writing the
+total as ``2 * (n - n0) - 2c``, every realization consists of ``n0``
+isolated vertices plus exactly ``c`` non-trivial tree components; ``c``
+is positive unless every entry is zero.
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ class SequenceStats:
 
     ``n`` splits as ``n0 + n1 + n_ge2`` by entry value, ``degree_sum``
     equals ``2 * (n - n0) - 2 * c``, and every realization has exactly
-    ``c`` non-trivial components.
+    ``c`` non-trivial components.  ``c`` is at least 1, except for an
+    all-zero sequence, whose only realization is the edgeless forest
+    with ``c == 0``.
     """
 
     n: int
@@ -95,8 +98,8 @@ class Branch(str, Enum):
     A and B split the leaf-heavy regime ``n1 > n_ge2`` by whether the
     component budget ``c - 1`` stays below ``ceil((n1 - n_ge2) / 2)``;
     C is the leaf-scarce regime ``n1 <= n_ge2``.  REDUCED marks
-    sequences whose positive part is all ones, where no case applies;
-    ``branch`` itself never returns it.
+    sequences whose positive part is all ones or empty, where no case
+    applies; ``branch`` itself never returns it.
     """
 
     A = "A"
@@ -130,7 +133,8 @@ def validate(degrees: "DegreeSequence | Iterable[int]") -> SequenceStats:
     if total % 2 != 0:
         raise OddSumError(f"degree total {total} is odd")
     c = (n - n0) - total // 2
-    if c < 1:
+    # c counts non-trivial components: none exactly when every entry is 0
+    if c < 1 and n0 < n:
         raise TooManyEdgesError(
             f"degree total {total} exceeds 2*(n - n0) - 2 = {2 * (n - n0) - 2}"
         )

@@ -9,14 +9,13 @@ isolated vertex each to both values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .degseq import (
     Branch,
     DegreeSequence,
     SequenceStats,
-    as_degree_sequence,
     branch,
     validate,
 )
@@ -26,9 +25,10 @@ from .degseq import (
 class ExtremalValues:
     """Both extremes plus the case that produced them.
 
-    ``branch`` is REDUCED when the zero-stripped sequence is all ones
-    (every realization is a perfect matching); ``zeros_stripped`` counts
-    the isolated vertices already folded into the values.
+    ``branch`` is REDUCED when the zero-stripped sequence is all ones or
+    empty (every realization is a perfect matching, with no edges when
+    every entry is zero); ``zeros_stripped`` counts the isolated
+    vertices already folded into the values.
     """
 
     gamma_max: int
@@ -38,20 +38,21 @@ class ExtremalValues:
 
 
 def _stripped(degrees: "DegreeSequence | Iterable[int]") -> tuple[SequenceStats, int]:
-    """Stats of the positive part, plus the number of zeros removed."""
-    seq = as_degree_sequence(degrees)
-    stats = validate(seq)
-    if stats.n0 == 0:
-        return stats, 0
-    return validate(seq.without_zeros()), stats.n0
+    """Stats of the positive part, plus the number of zeros removed.
+
+    Dropping zeros changes only ``n`` and ``n0``; the positive part of an
+    all-zero sequence is empty, with ``n == 0``.
+    """
+    stats = validate(degrees)
+    return replace(stats, n=stats.n - stats.n0, n0=0), stats.n0
 
 
 def extremal_values(degrees: "DegreeSequence | Iterable[int]") -> ExtremalValues:
     """Evaluate both closed forms for a realizable sequence."""
     stats, zeros = _stripped(degrees)
     if stats.n_ge2 == 0:
-        # Only 1-entries left: the unique realization is n/2 disjoint
-        # edges, each contributing 1 to both numbers.
+        # Only 1-entries left, or none: the unique realization is n/2
+        # disjoint edges, each contributing 1 to both numbers.
         half = stats.n // 2
         return ExtremalValues(zeros + half, zeros + half, Branch.REDUCED, zeros)
     tag = branch(stats)

@@ -4,13 +4,18 @@ The enumerator assigns the remaining edge slots of the lowest unfinished
 vertex in every way that keeps the graph simple and acyclic, so it
 visits each labelled realization exactly once.  Isomorphism-aware runs
 additionally skip choices that only permute still-untouched vertices of
-equal degree and deduplicate survivors by a canonical encoding.
+equal degree and deduplicate survivors by a canonical encoding.  The
+number of labelled realizations is counted in closed form, without
+walking them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
+from math import comb, factorial
 from typing import Iterable, Iterator
 
 from .construct import realize_any
@@ -116,6 +121,46 @@ def _labeled_edge_sets(
     yield from assign(0)
 
 
+def _labeled_count(degrees: tuple[int, ...]) -> int:
+    """Number of labelled forests where vertex i has degree degrees[i].
+
+    A labelled tree on a vertex set B with degrees d_v has
+    (|B|-2)! / prod (d_v - 1)! Prufer codes (Moon, *Counting Labelled
+    Trees*, 1970), so the forests are the splits of the positive entries
+    into tree blocks B with sum d = 2|B| - 2, weighted by that product.
+    Vertices of equal degree are interchangeable, so the split runs over
+    vectors of remaining multiplicities: each step removes the block that
+    holds one fixed leaf, which every non-empty remainder has, choosing
+    its other members by binomials.  Zero entries are isolated vertices
+    and the empty remainder counts 1.
+    """
+    tally = Counter(d for d in degrees if d > 1)
+    inner = sorted(tally)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+
+    def forests(leaves: int, left: tuple[int, ...]) -> int:
+        if leaves == 0:
+            return 0 if any(left) else 1
+        if (leaves, left) in memo:
+            return memo[(leaves, left)]
+        total = 0
+        for take in product(*(range(m + 1) for m in left)):
+            # a tree has 2 + sum (d - 2) leaves over its inner vertices
+            block_leaves = 2 + sum(j * (d - 2) for j, d in zip(take, inner))
+            if block_leaves > leaves:
+                continue
+            size = block_leaves + sum(take)
+            ways = factorial(size - 2) * comb(leaves - 1, block_leaves - 1)
+            for j, d, m in zip(take, inner, left):
+                ways = ways * comb(m, j) // factorial(d - 1) ** j
+            rest = tuple(m - j for m, j in zip(left, take))
+            total += ways * forests(leaves - block_leaves, rest)
+        memo[(leaves, left)] = total
+        return total
+
+    return forests(sum(1 for d in degrees if d == 1), tuple(tally[d] for d in inner))
+
+
 def _canonical_key(n: int, edges: Iterable[tuple[int, int]]) -> str:
     """Isomorphism-invariant encoding: sorted centre-rooted encodings
     of the components, one per component."""
@@ -207,15 +252,16 @@ def enumerate_realizations(
 def empirical_extremes(
     degrees: "DegreeSequence | Iterable[int]", cap: int = DEFAULT_SIZE_CAP
 ) -> EnumerationReport:
-    """Enumerate everything and fold domination/independence extremes.
+    """Fold domination/independence extremes over every realization.
 
-    The labelled count comes from a full pass; statistics and witnesses
-    come from one representative per isomorphism class, which realizes
-    the same extremes because relabelling changes neither number.
+    The labelled count comes from ``_labeled_count`` in closed form;
+    statistics and witnesses come from one representative per
+    isomorphism class, which realizes the same extremes because
+    relabelling changes neither number.
     """
     seq, degs = _checked(degrees, cap)
     n = len(degs)
-    labeled = sum(1 for _ in _labeled_edge_sets(degs, symmetric_prune=False))
+    labeled = _labeled_count(degs)
     iso = 0
     seen: set[str] = set()
     gamma_lo = alpha_lo = n + 1
@@ -344,12 +390,15 @@ def swap_search_gamma(
     it is not guaranteed.  Each call memoizes the value of every edge
     set it meets, so the domination DP runs once per distinct forest.
     Zero entries take no part in the search; they are the trailing
-    labels, so they come out as isolated vertices.
+    labels, so they come out as isolated vertices.  An all-zero
+    sequence has the edgeless forest as its only realization.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
+    if stats.c == 0:
+        return Forest(stats.n)
     rng = random.Random(seed)
     start = realize_any(seq.without_zeros())
     n = start.n

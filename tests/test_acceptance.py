@@ -222,3 +222,31 @@ def test_criterion_8_swap_search_attainment():
         f"swap search attained gamma_max on {attained}/{len(sequences)} "
         f"sequences with n <= 9 ({rate:.1%}), exceeded on {len(exceeded)}",
     )
+
+
+# unlabelled trees on n = 3..14 vertices (OEIS A000055)
+UNLABELED_TREES = [1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+
+
+def test_criterion_9_formulas_match_enumeration_to_fourteen():
+    checked = 0
+    mismatches = []
+    classes = [0] * len(UNLABELED_TREES)
+    for seq in sweep_sequences(14):
+        report = empirical_extremes(seq)
+        values = extremal_values(seq)
+        if (
+            report.gamma_max != values.gamma_max
+            or report.alpha_min != values.alpha_min
+        ):
+            mismatches.append(seq.degrees)
+        if validate(seq).c == 1:
+            classes[len(seq) - 3] += report.realization_count_iso
+        checked += 1
+    _report(
+        9,
+        checked == 518 and not mismatches and classes == UNLABELED_TREES,
+        f"closed forms equal enumerated extremes on {checked} sequences "
+        f"with n <= 14, {len(mismatches)} mismatches; tree classes per "
+        f"n = 3..14 are {classes}",
+    )

@@ -5,7 +5,7 @@ import pytest
 from forestdom import cli, oracle
 from forestdom.cli import main
 from forestdom.degseq import DegreeSequence
-from forestdom.forest import read_forest
+from forestdom.forest import Forest, read_forest
 
 
 def run(capsys, argv):
@@ -45,6 +45,11 @@ def test_eval_with_zero_entries(capsys):
     assert payload["branch"] == "reduced"
     assert payload["gamma_max"] == 2
     assert payload["alpha_min"] == 2
+
+    code, out, err = run(capsys, ["eval", "0,0"])
+    assert code == 0
+    assert err == ""
+    assert out == "n=2 n0=2 n1=0 n_ge2=0 c=0 branch=reduced gamma_max=2 alpha_min=2\n"
 
 
 def test_eval_rejects_bad_input(capsys):
@@ -96,6 +101,28 @@ def test_build_human_reports_match(capsys, tmp_path):
     ]
 
 
+def test_solve_edgeless(capsys, tmp_path):
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"n": 3, "edges": []}')
+    code, out, err = run(capsys, ["solve", "--json", str(path)])
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["degree_sequence"] == [0, 0, 0]
+    assert payload["gamma"] == payload["gamma_max"] == 3
+    assert payload["alpha"] == payload["alpha_min"] == 3
+    assert payload["gamma_witness"] == payload["alpha_witness"] == [0, 1, 2]
+
+
+def test_build_edgeless_is_a_precondition_error(capsys, tmp_path):
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, ["build", "0,0", str(out_path)])
+    assert code == 1
+    assert out == ""
+    assert "PreconditionError" in err
+    assert not out_path.exists()
+
+
 def test_solve_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["solve", str(tmp_path / "absent.json")])
     assert code == 1
@@ -130,6 +157,16 @@ def test_verify_human_verdict(capsys):
         "alpha_min empirical=2 formula=2",
         "verdict match",
     ]
+
+
+def test_verify_edgeless(capsys):
+    code, out, _ = run(capsys, ["verify", "--json", "0,0"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["labeled"], payload["iso"]) == (1, 1)
+    assert payload["gamma_max_empirical"] == payload["gamma_max_formula"] == 2
+    assert payload["alpha_min_empirical"] == payload["alpha_min_formula"] == 2
+    assert payload["match"] is True
 
 
 def test_verify_cap_exceeded(capsys):
@@ -249,6 +286,17 @@ def test_swap_search_with_zero_entries(capsys):
     payload = json.loads(out)
     assert payload["gamma_found"] == payload["gamma_max"] == 2
     assert payload["attained"] is True
+
+
+def test_swap_search_edgeless(capsys, tmp_path):
+    out_path = str(tmp_path / "found.json")
+    code, out, err = run(capsys, ["swap-search", "--json", "--out", out_path, "0,0"])
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["gamma_found"] == payload["gamma_max"] == 2
+    assert payload["attained"] is True
+    assert read_forest(out_path) == Forest(2)
 
 
 def test_keyboard_interrupt_exits_130(capsys, monkeypatch):

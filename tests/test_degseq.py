@@ -64,10 +64,11 @@ def test_validate_rejects_empty():
         validate(())
 
 
-def test_validate_rejects_all_zero():
-    # c >= 1 fails: no non-trivial component exists
-    with pytest.raises(TooManyEdgesError):
-        validate((0, 0, 0))
+def test_validate_accepts_all_zero():
+    # the edgeless forest: no non-trivial component, so c == 0
+    stats = validate((0, 0, 0))
+    assert (stats.n, stats.n0, stats.n1, stats.n_ge2, stats.c) == (3, 3, 0, 0, 0)
+    assert stats.degree_sum == 0
 
 
 def test_validate_rejects_single_positive_entry():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence
@@ -170,6 +172,37 @@ def test_solvers_match_brute_force():
         assert alpha == brute_independence_number(n, forest.edges)
         assert is_dominating(forest, dom) and len(dom) == gamma
         assert is_independent(forest, ind) and len(ind) == alpha
+
+
+@st.composite
+def drawn_forests(draw, max_n=10):
+    """A forest on up to max_n vertices, grown breadth-first: each vertex
+    in turn takes some of the vertices not yet placed as its children,
+    and a vertex the queue never reached starts a new tree.  The labels
+    are shuffled afterwards."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    labels = draw(st.permutations(range(n)))
+    edges = []
+    placed = 1
+    for u in range(n):
+        if u == placed:
+            placed += 1
+        kids = draw(st.integers(min_value=0, max_value=n - placed))
+        edges.extend((labels[u], labels[w]) for w in range(placed, placed + kids))
+        placed += kids
+    return Forest(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_forests())
+def test_solvers_match_brute_force_on_drawn_forests(forest):
+    gamma, dom = forest.domination_number()
+    alpha, ind = forest.independence_number()
+    assert gamma == brute_domination_number(forest.n, forest.edges)
+    assert alpha == brute_independence_number(forest.n, forest.edges)
+    assert dom <= set(range(forest.n)) and ind <= set(range(forest.n))
+    assert len(dom) == gamma and is_dominating(forest, dom)
+    assert len(ind) == alpha and is_independent(forest, ind)
 
 
 def test_solvers_deterministic():

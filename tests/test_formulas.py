@@ -2,7 +2,7 @@ from hypothesis import given, settings
 import pytest
 
 from forestdom.degseq import Branch, DegreeSequence, OddSumError, peel_k2, validate
-from forestdom.formulas import alpha_min, extremal_values, gamma_max
+from forestdom.formulas import ExtremalValues, alpha_min, extremal_values, gamma_max
 
 from brute import (
     brute_domination_number,
@@ -40,6 +40,9 @@ def test_zero_entries_add_isolated_vertices():
     assert alpha_min((3, 2, 2, 1, 1, 1, 0)) == alpha_min((3, 2, 2, 1, 1, 1)) + 1
     values = extremal_values((1, 1, 0, 0))
     assert (values.gamma_max, values.alpha_min, values.zeros_stripped) == (3, 3, 2)
+    # the edgeless forest: every vertex is in both extremal sets
+    for n0 in (1, 2, 5):
+        assert extremal_values((0,) * n0) == ExtremalValues(n0, n0, Branch.REDUCED, n0)
 
 
 def test_branch_tags_reported():

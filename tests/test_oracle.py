@@ -1,5 +1,7 @@
 import hashlib
 import random
+from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -16,6 +18,8 @@ from forestdom.oracle import (
     _canonical_key,
     _edge_mask,
     _forest_value,
+    _labeled_count,
+    _labeled_edge_sets,
     _swap_moves,
     empirical_extremes,
     enumerate_realizations,
@@ -102,6 +106,68 @@ def test_zero_entries_become_isolated_vertices():
     assert (report.gamma_min, report.gamma_max) == (2, 2)
     assert (report.alpha_min, report.alpha_max) == (2, 2)
     assert report.witness_gamma_max.degree(2) == 0
+    edgeless = empirical_extremes((0, 0, 0))
+    assert (edgeless.realization_count_labeled, edgeless.realization_count_iso) == (1, 1)
+    assert (edgeless.gamma_min, edgeless.gamma_max) == (3, 3)
+    assert (edgeless.alpha_min, edgeless.alpha_max) == (3, 3)
+    assert edgeless.witness_gamma_max == edgeless.witness_alpha_min == Forest(3)
+
+
+# ----------------------------------------------------------------------
+# the closed-form labelled count
+
+
+def _label_assignments(degrees) -> int:
+    """Ways to hand the entries to labelled vertices: n! / prod m_k!."""
+    ways = factorial(len(degrees))
+    for multiplicity in Counter(degrees).values():
+        ways //= factorial(multiplicity)
+    return ways
+
+
+def _forest_sequences(n: int):
+    """Every forest degree sequence of length n, zero entries included."""
+    yield (0,) * n
+    for positive in range(2, n + 1):
+        zeros = (0,) * (n - positive)
+        if positive % 2 == 0:
+            yield (1,) * positive + zeros
+        for seq in sweep_sequences(positive):
+            if len(seq) == positive:
+                yield seq.degrees + zeros
+
+
+def test_labeled_count_matches_labeled_walk():
+    sequences = [seq.degrees for seq in sweep_sequences(9)]
+    sequences += [seq + (0,) * k for seq in sequences[::7] for k in (1, 3)]
+    sequences += [(1,) * n for n in range(2, 11, 2)]
+    sequences += [(0,) * n for n in range(1, 4)]
+    for degrees in sequences:
+        walked = sum(1 for _ in _labeled_edge_sets(degrees, symmetric_prune=False))
+        assert _labeled_count(degrees) == walked, degrees
+
+
+def test_labeled_count_gives_cayley_over_tree_sequences():
+    for n in range(3, 15):
+        trees = [
+            seq.degrees
+            for seq in sweep_sequences(n)
+            if len(seq) == n and validate(seq).c == 1
+        ]
+        total = sum(_label_assignments(d) * _labeled_count(d) for d in trees)
+        assert total == n ** (n - 2), n
+
+
+# labelled forests on n vertices, n = 1..11 (OEIS A001858)
+LABELED_FORESTS = [1, 2, 7, 38, 291, 2932, 36961, 561948, 10026505, 205608536, 4767440679]
+
+
+def test_labeled_count_gives_labeled_forest_totals():
+    totals = [
+        sum(_label_assignments(d) * _labeled_count(d) for d in _forest_sequences(n))
+        for n in range(1, 12)
+    ]
+    assert totals == LABELED_FORESTS
 
 
 def test_size_cap():
@@ -189,6 +255,7 @@ def test_swap_search_zero_entries_become_isolated_vertices():
     padded = swap_search_gamma((3, 2, 1, 1, 1, 1, 1, 0, 0), restarts=5, seed=3)
     assert padded == Forest(9, plain.edges)
     assert padded.domination_number()[0] == plain.domination_number()[0] + 2
+    assert swap_search_gamma((0, 0), restarts=3, seed=1) == Forest(2)
 
 
 @pytest.mark.parametrize("restarts", [0, -5])
