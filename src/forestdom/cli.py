@@ -192,6 +192,13 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     cap = _checked_cap(args.cap)
     workers = _worker_count(args.parallel)
+    # sweep sequences are zero-free and there is one of every length from
+    # 3 up, so this is the first length the cap rejects
+    too_long = max(3, cap + 1)
+    if args.max_n >= too_long:
+        raise SizeCapExceededError(
+            f"positive part has {too_long} entries, cap is {cap}"
+        )
     sequences = [seq.degrees for seq in sweep_sequences(args.max_n)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -37,12 +37,19 @@ class DegreeSequence:
 
     The constructor accepts any iterable of non-negative integers and
     sorts it, so two sequences compare equal iff they agree as multisets.
+    Entries must be of type ``int`` exactly: floats, bools and other
+    look-alikes raise ValueError rather than being coerced.
     """
 
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        degrees = tuple(sorted((int(d) for d in self.degrees), reverse=True))
+        degrees = tuple(self.degrees)
+        # type() rather than isinstance(): bool is a subclass of int
+        if not set(map(type, degrees)) <= {int}:
+            bad = next(d for d in degrees if type(d) is not int)
+            raise ValueError(f"degrees must be integers, got {bad!r}")
+        degrees = tuple(sorted(degrees, reverse=True))
         if degrees and degrees[-1] < 0:
             raise ValueError(f"degrees must be non-negative, got {degrees[-1]}")
         object.__setattr__(self, "degrees", degrees)

@@ -1,10 +1,12 @@
 """Exhaustive ground truth over all forest realizations of a sequence.
 
-The enumerator assigns the remaining edge slots of the lowest unfinished
-vertex in every way that keeps the graph simple and acyclic, so it
-visits each labelled realization exactly once.  Isomorphism-aware runs
-additionally skip choices that only permute still-untouched vertices of
-equal degree and deduplicate survivors by a canonical encoding.  The
+Isomorphism-aware runs build one forest per isomorphism class by
+construction: trees are grown from their centres out of planted subtrees
+over sub-multisets of the degrees, with children chosen as multisets, so
+no class is met twice and none needs a canonical encoding to be
+recognised.  The labelled enumerator assigns the remaining edge slots of
+the lowest unfinished vertex in every way that keeps the graph simple
+and acyclic, so it visits each labelled realization exactly once.  The
 number of labelled realizations is counted in closed form, without
 walking them.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -46,16 +48,10 @@ class EnumerationReport:
 
 
 def _labeled_edge_sets(
-    degrees: tuple[int, ...], symmetric_prune: bool
+    degrees: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the edge set of every labelled forest where vertex i has
-    degree degrees[i] (assumed non-increasing).
-
-    With symmetric_prune, partner choices that skip an untouched vertex
-    and later take an untouched vertex of the same degree are cut; that
-    loses labelled variants but keeps at least one member of every
-    isomorphism class.
-    """
+    degree degrees[i] (assumed non-increasing)."""
     n = len(degrees)
     residual = list(degrees)
     parent = list(range(n))  # union-find, no compression, unwindable
@@ -79,9 +75,7 @@ def _labeled_edge_sets(
         chosen: list[int] = []
         used_roots = {root_u}
 
-        def choose(idx: int, left: int, blocked: frozenset[int]) -> Iterator[
-            tuple[tuple[int, int], ...]
-        ]:
+        def choose(idx: int, left: int) -> Iterator[tuple[tuple[int, int], ...]]:
             if left == 0:
                 undo = []
                 residual[u] = 0
@@ -102,21 +96,16 @@ def _labeled_edge_sets(
             if len(candidates) - idx < left:
                 return
             v = candidates[idx]
-            untouched = residual[v] == degrees[v]
             root_v = find(v)
-            if root_v not in used_roots and not (
-                untouched and degrees[v] in blocked
-            ):
+            if root_v not in used_roots:
                 chosen.append(v)
                 used_roots.add(root_v)
-                yield from choose(idx + 1, left - 1, blocked)
+                yield from choose(idx + 1, left - 1)
                 used_roots.discard(root_v)
                 chosen.pop()
-            if symmetric_prune and untouched:
-                blocked = blocked | {degrees[v]}
-            yield from choose(idx + 1, left, blocked)
+            yield from choose(idx + 1, left)
 
-        yield from choose(0, need, frozenset())
+        yield from choose(0, need)
 
     yield from assign(0)
 
@@ -161,62 +150,175 @@ def _labeled_count(degrees: tuple[int, ...]) -> int:
     return forests(sum(1 for d in degrees if d == 1), tuple(tally[d] for d in inner))
 
 
-def _canonical_key(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    """Isomorphism-invariant encoding: sorted centre-rooted encodings
-    of the components, one per component."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+# A planted tree is a rooted tree whose root also has a parent outside
+# it, held as (height, degree index, children); the children are planted
+# trees in turn, shared by every tree that uses them.
+_Planted = tuple[int, int, tuple]
 
-    def encode_rooted(root: int) -> str:
-        # iterative post-order over the component containing root
-        order = []
-        stack = [(root, -1)]
-        while stack:
-            v, par = stack.pop()
-            order.append((v, par))
-            for w in adj[v]:
-                if w != par:
-                    stack.append((w, v))
-        enc: dict[int, str] = {}
-        for v, par in reversed(order):
-            parts = sorted(enc[w] for w in adj[v] if w != par)
-            enc[v] = "(" + "".join(parts) + ")"
-        return enc[root]
 
-    seen = [False] * n
-    keys = []
-    for start in range(n):
-        if seen[start]:
+def _groupings(
+    rest: int, count: int, rows: list[list[int]], field: int, guard: int
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every way to split the multiset ``rest`` into ``count`` parts
+    drawn from ``rows``, once each, as ``(part, copies)`` groups.
+
+    Multisets are packed as in ``_iso_edge_sets``.  ``rows[t]`` lists, in
+    descending order, the allowed parts whose first non-zero count is at
+    degree index ``t``.  Distinct parts are taken in descending order,
+    so the next part always covers the first remaining degree; an
+    explicit stack keeps the depth off the interpreter's.  Every allowed
+    part has the same degree total relative to its size, so ``count`` is
+    fixed by ``rest`` and empties exactly when ``rest`` does.
+    """
+    last = len(rows) - 1
+    stack = [(rest | guard, count, -1, 0, ())]
+    while stack:
+        held, count, row_prev, pos, groups = stack.pop()
+        rest = held ^ guard
+        if not rest:
+            yield groups
             continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        # locate the 1 or 2 centres by trimming leaf layers
-        degree = {v: len(adj[v]) for v in comp}
-        remaining = set(comp)
-        layer = [v for v in comp if degree[v] <= 1]
-        while len(remaining) > 2:
-            for v in layer:
-                remaining.discard(v)
-            nxt = []
-            for v in layer:
-                for w in adj[v]:
-                    if w in remaining:
-                        degree[w] -= 1
-                        if degree[w] <= 1:
-                            nxt.append(w)
-            layer = nxt
-        keys.append(min(encode_rooted(c) for c in remaining))
-    return "|".join(sorted(keys))
+        t = last - (rest.bit_length() - 1) // field
+        row = rows[t]
+        start = pos if t == row_prev else 0
+        if count == 1:
+            if rest in row[start:]:
+                yield groups + ((rest, 1),)
+            continue
+        for i in range(start, len(row)):
+            part = row[i]
+            left = held - part
+            copies = 1
+            while copies <= count and left & guard == guard:
+                if copies < count or left == guard:
+                    chosen = groups + ((part, copies),)
+                    stack.append((left, count - copies, t, i + 1, chosen))
+                left -= part
+                copies += 1
+
+
+def _picks(groups, memo) -> Iterator[tuple]:
+    """One tree per part: a multiset of ``copies`` trees from each group."""
+    for chosen in product(
+        *(combinations_with_replacement(memo[part], copies) for part, copies in groups)
+    ):
+        yield tuple(chain.from_iterable(chosen))
+
+
+def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield one edge set per isomorphism class of the forests where
+    vertex i has degree degrees[i] (assumed non-increasing).
+
+    Every class is built once, by construction, over sub-multisets of
+    the positive degrees.  A planted tree on a sub-multiset S has degree
+    total 2|S| - 1; its root of degree d has a multiset of d - 1 planted
+    children, one per part of a split of the rest of S.  A free tree
+    (total 2|S| - 2) is rooted at its centre (Wright, Richmond, Odlyzko
+    and McKay, 1986): a vertex of degree d with d planted children whose
+    two tallest have equal height, or an unordered pair of planted
+    halves of equal height joined at the central edge.  A forest is a
+    multiset of trees over a split of the whole multiset.  Equal parts
+    choose their trees as combinations with replacement, so no two
+    choices give isomorphic forests.  Vertices of one degree take
+    consecutive labels, from where that degree starts in ``degrees``.
+    """
+    values = sorted({d for d in degrees if d > 0}, reverse=True)
+    width = len(values)
+    first_label = [degrees.index(d) for d in values]
+    full = [degrees.count(d) for d in values]
+    # A multiset is one int: the count of values[j] sits in the j-th
+    # field of `field` bits from the top, under a guard bit that stays
+    # set unless a subtraction takes that count below zero.  Integer
+    # order is then lexicographic order of the count vectors.
+    field = max(full, default=0).bit_length() + 1
+    guard = sum(1 << (field * (j + 1) - 1) for j in range(width))
+    unit = [1 << (field * (width - 1 - j)) for j in range(width)]
+
+    def within(key: int, part: int) -> bool:
+        return (key | guard) - part & guard == guard
+
+    planted_rows: list[list[int]] = [[] for _ in range(width)]
+    tree_rows: list[list[int]] = [[] for _ in range(width)]
+    planted_keys = []
+    for counts in product(*(range(m + 1) for m in full)):
+        size = sum(counts)
+        total = sum(m * d for m, d in zip(counts, values))
+        key = sum(m * u for m, u in zip(counts, unit))
+        if size and total == 2 * size - 1:
+            planted_keys.append((size, key))
+            rows = planted_rows
+        elif size and total == 2 * size - 2:
+            rows = tree_rows
+        else:
+            continue
+        rows[next(j for j, m in enumerate(counts) if m)].append(key)
+    for row in planted_rows + tree_rows:
+        row.sort(reverse=True)
+
+    def rooted(key: int, planted_root: bool) -> Iterator[tuple[int, tuple]]:
+        """(root degree index, children) for every root in ``key`` and
+        every multiset of planted children on the rest of ``key``; a
+        planted root has one child fewer than its degree."""
+        for j in range(width):
+            if not within(key, unit[j]):
+                continue
+            rest = key - unit[j]
+            if values[j] == 1:
+                if not rest:
+                    yield j, ()
+                continue
+            parts = values[j] - 1 if planted_root else values[j]
+            for groups in _groupings(rest, parts, planted_rows, field, guard):
+                for children in _picks(groups, planted):
+                    yield j, children
+
+    # bottom up by size: a part is always smaller than the multiset it splits
+    planted: dict[int, list[_Planted]] = {}
+    for _, key in sorted(planted_keys):
+        planted[key] = [
+            (1 + max(c[0] for c in children) if children else 0, j, children)
+            for j, children in rooted(key, True)
+        ]
+
+    def free_trees(key: int) -> list[tuple[int, tuple]]:
+        """Centre-rooted trees on ``key`` as (root degree index, children)."""
+        trees = []
+        for j, children in rooted(key, False):
+            tallest = max(c[0] for c in children)
+            if sum(1 for c in children if c[0] == tallest) >= 2:
+                trees.append((j, children))
+        for half in planted:
+            other = key - half
+            if other > half or not within(key, half) or other not in planted:
+                continue
+            if other == half:
+                pairs = combinations_with_replacement(planted[half], 2)
+            else:
+                pairs = product(planted[half], planted[other])
+            trees.extend((a[1], a[2] + (b,)) for a, b in pairs if a[0] == b[0])
+        return trees
+
+    tree_memo: dict[int, list[tuple[int, tuple]]] = {}
+    whole = sum(m * u for m, u in zip(full, unit))
+    components = sum(full) - sum(m * d for m, d in zip(full, values)) // 2
+    for groups in _groupings(whole, components, tree_rows, field, guard):
+        for part, _ in groups:
+            if part not in tree_memo:
+                tree_memo[part] = free_trees(part)
+        for forest in _picks(groups, tree_memo):
+            label = list(first_label)
+            edges = []
+            for j, children in forest:
+                root = label[j]
+                label[j] += 1
+                stack = [(root, child) for child in children]
+                while stack:
+                    parent, (_, t, grand) = stack.pop()
+                    v = label[t]
+                    label[t] += 1
+                    edges.append((parent, v))
+                    stack.extend((v, child) for child in grand)
+            yield tuple(edges)
 
 
 def _checked(degrees, cap: int) -> tuple[DegreeSequence, tuple[int, ...]]:
@@ -234,18 +336,19 @@ def enumerate_realizations(
     iso_dedup: bool = False,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> Iterator[Forest]:
-    """Stream every realization; one per isomorphism class if iso_dedup."""
+    """Stream every realization, or with iso_dedup one per isomorphism
+    class, each built once by construction.
+
+    Vertex i has degree ``degrees[i]`` in the non-increasing order of the
+    sequence, so zero entries are the trailing, isolated vertices.
+    """
     _, degs = _checked(degrees, cap)
     n = len(degs)
     if iso_dedup:
-        seen: set[str] = set()
-        for edges in _labeled_edge_sets(degs, symmetric_prune=True):
-            key = _canonical_key(n, edges)
-            if key not in seen:
-                seen.add(key)
-                yield Forest(n, edges)
+        for edges in _iso_edge_sets(degs):
+            yield Forest(n, edges)
     else:
-        for edges in _labeled_edge_sets(degs, symmetric_prune=False):
+        for edges in _labeled_edge_sets(degs):
             yield Forest(n, edges)
 
 
@@ -255,23 +358,19 @@ def empirical_extremes(
     """Fold domination/independence extremes over every realization.
 
     The labelled count comes from ``_labeled_count`` in closed form;
-    statistics and witnesses come from one representative per
-    isomorphism class, which realizes the same extremes because
-    relabelling changes neither number.
+    statistics and witnesses come from the one forest per isomorphism
+    class that ``enumerate_realizations(iso_dedup=True)`` builds, which
+    realizes the same extremes because relabelling changes neither
+    number.
     """
     seq, degs = _checked(degrees, cap)
     n = len(degs)
     labeled = _labeled_count(degs)
     iso = 0
-    seen: set[str] = set()
     gamma_lo = alpha_lo = n + 1
     gamma_hi = alpha_hi = -1
     best_gamma = best_alpha = None
-    for edges in _labeled_edge_sets(degs, symmetric_prune=True):
-        key = _canonical_key(n, edges)
-        if key in seen:
-            continue
-        seen.add(key)
+    for edges in _iso_edge_sets(degs):
         iso += 1
         forest = Forest(n, edges)
         gamma, _ = forest.domination_number()

@@ -3,7 +3,9 @@
 Deliberately written along different lines than the library: domination
 and independence by subset search, realization enumeration by
 include/exclude over the list of vertex pairs, acyclicity by comparing
-edge and component counts.  Only usable at toy sizes.
+edge and component counts, and isomorphism classes by a canonical
+string per component, rooted at the centres found by trimming leaves.
+Only usable at toy sizes.
 """
 
 from __future__ import annotations
@@ -110,3 +112,61 @@ def brute_realizations(degrees):
         slack[v] += 1
 
     yield from decide(0)
+
+
+def canonical_key(n: int, edges) -> str:
+    """Isomorphism-invariant encoding: sorted centre-rooted encodings
+    of the components, one per component."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+
+    def encode_rooted(root: int) -> str:
+        # iterative post-order over the component containing root
+        order = []
+        stack = [(root, -1)]
+        while stack:
+            v, par = stack.pop()
+            order.append((v, par))
+            for w in adj[v]:
+                if w != par:
+                    stack.append((w, v))
+        enc: dict[int, str] = {}
+        for v, par in reversed(order):
+            parts = sorted(enc[w] for w in adj[v] if w != par)
+            enc[v] = "(" + "".join(parts) + ")"
+        return enc[root]
+
+    seen = [False] * n
+    keys = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    queue.append(w)
+        # locate the 1 or 2 centres by trimming leaf layers
+        degree = {v: len(adj[v]) for v in comp}
+        remaining = set(comp)
+        layer = [v for v in comp if degree[v] <= 1]
+        while len(remaining) > 2:
+            for v in layer:
+                remaining.discard(v)
+            nxt = []
+            for v in layer:
+                for w in adj[v]:
+                    if w in remaining:
+                        degree[w] -= 1
+                        if degree[w] <= 1:
+                            nxt.append(w)
+            layer = nxt
+        keys.append(min(encode_rooted(c) for c in remaining))
+    return "|".join(sorted(keys))

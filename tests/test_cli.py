@@ -1,4 +1,5 @@
 import json
+from math import factorial
 
 import pytest
 
@@ -173,6 +174,38 @@ def test_verify_cap_exceeded(capsys):
     code, _, err = run(capsys, ["verify", "--cap", "3", "2,2,1,1"])
     assert code == 3
     assert "SizeCapExceededError" in err
+
+
+def test_verify_long_path_needs_no_deep_recursion(capsys):
+    path = ",".join(["2"] * 200 + ["1", "1"])
+    code, out, err = run(capsys, ["verify", "--json", "--cap", "1000", path])
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["iso"] == 1
+    assert payload["labeled"] == factorial(200)
+    assert payload["match"] is True
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["--max-n", "12", "--cap", "10"], "11 entries, cap is 10"),
+        (["--max-n", "12", "--cap", "10", "--parallel", "2"], "11 entries, cap is 10"),
+        (["--max-n", "1200", "--cap", "1"], "3 entries, cap is 1"),
+        (["--max-n", "1200", "--cap", "1", "--parallel", "2"], "3 entries, cap is 1"),
+    ],
+)
+def test_sweep_checks_cap_before_listing_sequences(capsys, monkeypatch, argv, line):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "sweep_sequences", refuse)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    code, out, err = run(capsys, ["sweep", *argv])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: SizeCapExceededError: positive part has {line}\n"
 
 
 @pytest.mark.parametrize(

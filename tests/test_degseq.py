@@ -29,6 +29,18 @@ def test_constructor_rejects_negative():
         DegreeSequence((2, -1))
 
 
+@pytest.mark.parametrize(
+    "entries", [(2.7, 1.2, 1.9), (True, True), (2, 1, "1"), (2.0, 1, 1)]
+)
+def test_constructor_rejects_non_integers(entries):
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        DegreeSequence(entries)
+
+
+def test_constructor_reads_any_iterable_once():
+    assert DegreeSequence(iter([1, 2, 1])).degrees == (2, 1, 1)
+
+
 def test_parse_accepts_commas_and_whitespace():
     assert DegreeSequence.parse("3,2,1,1") == DegreeSequence((3, 2, 1, 1))
     assert DegreeSequence.parse("3 2  1\t1") == DegreeSequence((3, 2, 1, 1))

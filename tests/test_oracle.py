@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from brute import brute_realizations
+from brute import brute_realizations, canonical_key
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
@@ -15,7 +15,6 @@ from forestdom.oracle import (
     DEFAULT_SIZE_CAP,
     SizeCapExceededError,
     _apply_move,
-    _canonical_key,
     _edge_mask,
     _forest_value,
     _labeled_count,
@@ -76,8 +75,8 @@ def test_enumeration_matches_independent_enumerator():
 
 
 def test_iso_pass_preserves_extremes():
-    # the symmetry pruning may drop labelled variants but never a class,
-    # so folding over class representatives gives the same extremes
+    # relabelling changes neither number, so folding over one
+    # representative per class gives the same extremes
     for seq in sweep_sequences(7):
         gammas = set()
         alphas = set()
@@ -137,13 +136,19 @@ def _forest_sequences(n: int):
                 yield seq.degrees + zeros
 
 
-def test_labeled_count_matches_labeled_walk():
+def _walked_sequences():
+    """Every sweep sequence with n <= 9, plus zero-padded, all-ones and
+    all-zero ones: small enough to walk every labelled realization."""
     sequences = [seq.degrees for seq in sweep_sequences(9)]
     sequences += [seq + (0,) * k for seq in sequences[::7] for k in (1, 3)]
     sequences += [(1,) * n for n in range(2, 11, 2)]
     sequences += [(0,) * n for n in range(1, 4)]
-    for degrees in sequences:
-        walked = sum(1 for _ in _labeled_edge_sets(degrees, symmetric_prune=False))
+    return sequences
+
+
+def test_labeled_count_matches_labeled_walk():
+    for degrees in _walked_sequences():
+        walked = sum(1 for _ in _labeled_edge_sets(degrees))
         assert _labeled_count(degrees) == walked, degrees
 
 
@@ -170,6 +175,21 @@ def test_labeled_count_gives_labeled_forest_totals():
     assert totals == LABELED_FORESTS
 
 
+def test_iso_classes_match_labeled_walk():
+    # one forest per class: distinct keys, and together every class the
+    # full labelled walk meets, with vertex i of degree degrees[i]
+    for degrees in _walked_sequences():
+        n = len(degrees)
+        keys = []
+        for forest in enumerate_realizations(degrees, iso_dedup=True):
+            assert [len(nb) for nb in forest.adj] == list(degrees), degrees
+            keys.append(canonical_key(n, forest.edges))
+        assert len(set(keys)) == len(keys), degrees
+        walked = {canonical_key(n, edges) for edges in _labeled_edge_sets(degrees)}
+        assert set(keys) == walked, degrees
+    assert list(enumerate_realizations((0, 0, 0), iso_dedup=True)) == [Forest(3)]
+
+
 def test_size_cap():
     too_long = (1,) * (DEFAULT_SIZE_CAP + 2)
     with pytest.raises(SizeCapExceededError):
@@ -190,15 +210,13 @@ def test_canonical_key_is_relabelling_invariant():
         perm = list(range(forest.n))
         rng.shuffle(perm)
         mapped = [(perm[u], perm[v]) for u, v in forest.edges]
-        assert _canonical_key(forest.n, forest.edges) == _canonical_key(
-            forest.n, mapped
-        )
+        assert canonical_key(forest.n, forest.edges) == canonical_key(forest.n, mapped)
 
 
 def test_canonical_key_separates_shapes():
     path = [(0, 1), (1, 2), (2, 3)]
     star = [(0, 1), (0, 2), (0, 3)]
-    assert _canonical_key(4, path) != _canonical_key(4, star)
+    assert canonical_key(4, path) != canonical_key(4, star)
 
 
 # ----------------------------------------------------------------------
