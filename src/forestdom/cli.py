@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .construct import extremal_build
 from .degseq import DegreeSequence, DegreeSequenceError, validate
@@ -30,6 +31,24 @@ EXIT_INPUT = 1
 EXIT_MISMATCH = 2
 EXIT_CAP = 3
 EXIT_INTERRUPTED = 130  # the shell's 128 + SIGINT
+
+
+@contextmanager
+def _exact_ints():
+    """Print exact counts in full: labelled counts can pass the digit
+    limit that CPython 3.11+ puts on int-to-str conversion.  The limit
+    is lifted only while output is written, so input parsing keeps it,
+    and it is restored before control returns to the caller."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -185,7 +204,8 @@ def cmd_verify(args) -> int:
     cap = _checked_cap(args.cap)
     seq = DegreeSequence.parse(args.sequence)
     payload = _verify_payload(seq.degrees, cap)
-    _emit(args, payload, _verify_lines(payload))
+    with _exact_ints():
+        _emit(args, payload, _verify_lines(payload))
     return EXIT_OK if payload["match"] else EXIT_MISMATCH
 
 

@@ -10,8 +10,10 @@ is positive unless every entry is zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Iterator
 
 
@@ -36,7 +38,8 @@ class DegreeSequence:
     """Immutable multiset of vertex degrees, stored non-increasing.
 
     The constructor accepts any iterable of non-negative integers and
-    sorts it, so two sequences compare equal iff they agree as multisets.
+    sorts it in linear time, so two sequences compare equal iff they
+    agree as multisets.
     Entries must be of type ``int`` exactly: floats, bools and other
     look-alikes raise ValueError rather than being coerced.
     """
@@ -49,10 +52,16 @@ class DegreeSequence:
         if not set(map(type, degrees)) <= {int}:
             bad = next(d for d in degrees if type(d) is not int)
             raise ValueError(f"degrees must be integers, got {bad!r}")
-        degrees = tuple(sorted(degrees, reverse=True))
-        if degrees and degrees[-1] < 0:
-            raise ValueError(f"degrees must be non-negative, got {degrees[-1]}")
-        object.__setattr__(self, "degrees", degrees)
+        # a counting sort: linear in the entries, and there are few
+        # distinct values; extending by repeat() grows one list in place
+        # rather than building a temporary list per value
+        tally = Counter(degrees)
+        if tally and min(tally) < 0:
+            raise ValueError(f"degrees must be non-negative, got {min(tally)}")
+        ordered: list[int] = []
+        for d in sorted(tally, reverse=True):
+            ordered.extend(repeat(d, tally[d]))
+        object.__setattr__(self, "degrees", tuple(ordered))
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
@@ -132,10 +141,10 @@ def validate(degrees: "DegreeSequence | Iterable[int]") -> SequenceStats:
     if len(seq) == 0:
         raise ValueError("empty degree sequence")
     n = len(seq)
-    n0 = sum(1 for d in seq if d == 0)
-    n1 = sum(1 for d in seq if d == 1)
-    n_ge3 = sum(1 for d in seq if d >= 3)
+    n0 = seq.degrees.count(0)
+    n1 = seq.degrees.count(1)
     n_ge2 = n - n0 - n1
+    n_ge3 = n_ge2 - seq.degrees.count(2)
     total = sum(seq.degrees)
     if total % 2 != 0:
         raise OddSumError(f"degree total {total} is odd")

@@ -125,13 +125,15 @@ def _labeled_count(degrees: tuple[int, ...]) -> int:
     """
     tally = Counter(d for d in degrees if d > 1)
     inner = sorted(tally)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    # (leaves, multiplicities of inner) -> number of forests on them
+    memo: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(inner)): 1}
 
-    def forests(leaves: int, left: tuple[int, ...]) -> int:
-        if leaves == 0:
-            return 0 if any(left) else 1
-        if (leaves, left) in memo:
-            return memo[(leaves, left)]
+    def forests(leaves: int, left: tuple[int, ...]):
+        """Sum over the block that holds one fixed leaf.  It yields each
+        remainder and is sent that remainder's count, so blocks nest on
+        an explicit stack rather than the interpreter's."""
+        if not leaves:
+            return 0  # inner vertices but no leaf: the empty rest is in memo
         total = 0
         for take in product(*(range(m + 1) for m in left)):
             # a tree has 2 + sum (d - 2) leaves over its inner vertices
@@ -143,11 +145,24 @@ def _labeled_count(degrees: tuple[int, ...]) -> int:
             for j, d, m in zip(take, inner, left):
                 ways = ways * comb(m, j) // factorial(d - 1) ** j
             rest = tuple(m - j for m, j in zip(left, take))
-            total += ways * forests(leaves - block_leaves, rest)
-        memo[(leaves, left)] = total
+            total += ways * (yield leaves - block_leaves, rest)
         return total
 
-    return forests(sum(1 for d in degrees if d == 1), tuple(tally[d] for d in inner))
+    root = (sum(1 for d in degrees if d == 1), tuple(tally[d] for d in inner))
+    stack = [] if root in memo else [(root, forests(*root))]
+    count = None
+    while stack:
+        state, frame = stack[-1]
+        try:
+            sub = frame.send(count)
+        except StopIteration as done:
+            memo[state] = count = done.value
+            stack.pop()
+            continue
+        count = memo.get(sub)
+        if count is None:
+            stack.append((sub, forests(*sub)))
+    return memo[root]
 
 
 # A planted tree is a rooted tree whose root also has a parent outside
@@ -474,6 +489,71 @@ def _apply_move(edges: list[tuple[int, int]], move: _Move) -> list[tuple[int, in
     return [e for k, e in enumerate(edges) if k != i and k != j] + [e1, e2]
 
 
+# (x, y, crossed, e1, e2, key): a move held by its edges rather than their
+# positions.  With x = (a, b) and y = (c, d), e1 and e2 are (a, c), (b, d),
+# or (a, d), (b, c) when crossed, each with its smaller end first.
+_PlanMove = tuple[
+    tuple[int, int], tuple[int, int], bool, tuple[int, int], tuple[int, int], int
+]
+# an edge set's moves onto forests, its best moves if they beat its own
+# value (else none) and its neutral moves, which keep that value
+_Plan = tuple[list[_PlanMove], list[_PlanMove], list[_PlanMove]]
+
+
+def _plan(n: int, edges: list[tuple[int, int]], mask: int, memo: dict) -> _Plan:
+    """Scan the moves of the edge set ``mask`` once, in any edge order.
+
+    ``memo`` maps edge-set bitmasks to their ``_forest_value`` and must
+    hold ``mask``; the values of the moves' edge sets are added to it.
+    """
+    current = memo[mask]
+    onto: list[_PlanMove] = []
+    best: list[_PlanMove] = []
+    neutral: list[_PlanMove] = []
+    top = current
+    for move in _swap_moves(n, edges, mask):
+        i, j, e1, e2, key = move
+        if key not in memo:
+            memo[key] = _forest_value(n, _apply_move(edges, move))
+        value = memo[key]
+        if value is None:
+            continue
+        y = edges[j]
+        entry = (edges[i], y, y[1] in e1, e1, e2, key)
+        onto.append(entry)
+        if value > top:
+            top, best = value, [entry]
+        elif value == top > current:
+            best.append(entry)
+        if value == current:
+            neutral.append(entry)
+    return onto, best, neutral
+
+
+def _ranked(moves: list[_PlanMove], edges: list[tuple[int, int]]) -> list[_Move]:
+    """The moves as ``_swap_moves`` yields them for this order of ``edges``.
+
+    That order is by the positions of the two edges, then the straight
+    pairing before the crossed one.  Seen from y, the crossed pairing
+    lists x's second end first, so its e1 and e2 trade places when y
+    comes before x.  Every edge has its smaller end first, so for one
+    pair of edges the straight e1 is always the smaller: the moves sort
+    as tuples.
+    """
+    pos = {e: k for k, e in enumerate(edges)}
+    ranked = []
+    for x, y, crossed, e1, e2, key in moves:
+        i, j = pos[x], pos[y]
+        if i < j:
+            ranked.append((i, j, e1, e2, key))
+        elif crossed:
+            ranked.append((j, i, e2, e1, key))
+        else:
+            ranked.append((j, i, e1, e2, key))
+    ranked.sort()
+    return ranked
+
+
 def swap_search_gamma(
     degrees: "DegreeSequence | Iterable[int]",
     restarts: int = 20,
@@ -488,9 +568,14 @@ def swap_search_gamma(
     domination number never exceeds the closed-form maximum; reaching
     it is not guaranteed.  Each call memoizes the value of every edge
     set it meets, so the domination DP runs once per distinct forest.
-    Zero entries take no part in the search; they are the trailing
-    labels, so they come out as isolated vertices.  An all-zero
-    sequence has the edgeless forest as its only realization.
+    It also scans the moves of every edge set it stands on only once,
+    into a ``_plan``; a later visit ranks the plan's moves by the
+    current edge order, which is all the scan order depends on.  So
+    every choice, and every draw from the seeded generator, is the one
+    a fresh scan would give.  Zero entries take no part in the search;
+    they are the trailing labels, so they come out as isolated
+    vertices.  An all-zero sequence has the edgeless forest as its only
+    realization.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -502,17 +587,16 @@ def swap_search_gamma(
     start = realize_any(seq.without_zeros())
     n = start.n
     start_mask = _edge_mask(n, start.edges)
-    # edge-set bitmask -> domination number, or None for a cyclic edge set;
-    # the value depends on the edge set alone, so the memo changes no
-    # choice and no draw from rng.  Every edge set the search stands on is
-    # the start or a move it took, so its value is always in here.
+    # edge-set bitmask -> domination number, or None for a cyclic edge set.
+    # Every edge set the search stands on is the start or a move it took,
+    # so its value is always in here.
     memo: dict[int, "int | None"] = {start_mask: start.domination_number()[0]}
+    plans: dict[int, _Plan] = {}
 
-    def move_value(edges: list[tuple[int, int]], move: _Move) -> "int | None":
-        key = move[4]
-        if key not in memo:
-            memo[key] = _forest_value(n, _apply_move(edges, move))
-        return memo[key]
+    def plan(edges: list[tuple[int, int]], mask: int) -> _Plan:
+        if mask not in plans:
+            plans[mask] = _plan(n, edges, mask, memo)
+        return plans[mask]
 
     best_forest = None
     best_gamma = -1
@@ -521,40 +605,25 @@ def swap_search_gamma(
         mask = start_mask
         if restart > 0:
             for _ in range(3 * n):
-                options = [
-                    move
-                    for move in _swap_moves(n, edges, mask)
-                    if move_value(edges, move) is not None
-                ]
+                options = plan(edges, mask)[0]
                 if not options:
                     break
-                move = rng.choice(options)
+                move = rng.choice(_ranked(options, edges))
                 edges, mask = _apply_move(edges, move), move[4]
-        current = memo[mask]
-        assert current is not None
         neutral_budget = 10 * n
         while True:
-            best_move = None
-            best_move_gamma = current
-            neutral: list[_Move] = []
-            for move in _swap_moves(n, edges, mask):
-                value = move_value(edges, move)
-                if value is None:
-                    continue
-                if value > best_move_gamma:
-                    best_move, best_move_gamma = move, value
-                elif value == current:
-                    neutral.append(move)
-            if best_move is not None:
-                edges, mask = _apply_move(edges, best_move), best_move[4]
-                current = best_move_gamma
-                continue
-            if neutral and neutral_budget > 0:
-                move = rng.choice(neutral)
-                edges, mask = _apply_move(edges, move), move[4]
+            _, best, neutral = plan(edges, mask)
+            if best:
+                # the first move, in scan order, that reaches the best value
+                move = _ranked(best, edges)[0]
+            elif neutral and neutral_budget > 0:
+                move = rng.choice(_ranked(neutral, edges))
                 neutral_budget -= 1
-                continue
-            break
+            else:
+                break
+            edges, mask = _apply_move(edges, move), move[4]
+        current = memo[mask]
+        assert current is not None
         if current > best_gamma:
             best_gamma = current
             best_forest = Forest(stats.n, edges)

@@ -1,5 +1,7 @@
 import json
-from math import factorial
+import sys
+from contextlib import contextmanager
+from math import factorial, prod
 
 import pytest
 
@@ -185,6 +187,59 @@ def test_verify_long_path_needs_no_deep_recursion(capsys):
     assert payload["iso"] == 1
     assert payload["labeled"] == factorial(200)
     assert payload["match"] is True
+
+
+def test_verify_many_components_needs_no_deep_recursion(capsys):
+    # 1,200 copies of K2: the labelled count nests one block per tree
+    ones = ",".join(["1"] * 2400)
+    code, out, err = run(capsys, ["verify", "--json", "--cap", "5000", ones])
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["iso"] == 1
+    assert payload["labeled"] == prod(range(1, 2400, 2))  # 2399!!
+    assert payload["match"] is True
+    code, out, err = run(capsys, ["verify", "--cap", "5000", ones])
+    assert code == 0
+    assert err == ""
+    assert out.endswith("verdict match\n")
+
+
+# CPython 3.11+ limits int-to-str conversion to a number of digits
+get_digit_limit = getattr(sys, "get_int_max_str_digits", None)
+
+
+@contextmanager
+def digit_limit(limit):
+    """Run with the int digit limit set to ``limit`` (0 lifts it)."""
+    if get_digit_limit is None:
+        yield
+        return
+    saved = get_digit_limit()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("form", [["--json"], []])
+def test_verify_prints_counts_past_the_digit_limit(capsys, form):
+    # the labelled count 2000! has 5,736 digits
+    path = ",".join(["2"] * 2000 + ["1", "1"])
+    with digit_limit(4400):
+        code, out, err = run(capsys, ["verify", *form, "--cap", "5000", path])
+        if get_digit_limit is not None:
+            assert get_digit_limit() == 4400
+    assert code == 0
+    assert err == ""
+    with digit_limit(0):
+        count = str(factorial(2000))
+        if form:
+            assert json.loads(out)["labeled"] == factorial(2000)
+        else:
+            assert out.splitlines()[0].endswith(f",1,1 labeled={count} iso=1")
+    assert len(count) == 5736
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,17 @@ def test_constructor_rejects_non_integers(entries):
         DegreeSequence(entries)
 
 
+@given(st.lists(st.integers(min_value=-3, max_value=40), max_size=60))
+def test_constructor_is_a_descending_sort(entries):
+    if entries and min(entries) < 0:
+        with pytest.raises(
+            ValueError, match=rf"^degrees must be non-negative, got {min(entries)}$"
+        ):
+            DegreeSequence(entries)
+    else:
+        assert DegreeSequence(entries).degrees == tuple(sorted(entries, reverse=True))
+
+
 def test_constructor_reads_any_iterable_once():
     assert DegreeSequence(iter([1, 2, 1])).degrees == (2, 1, 1)
 
@@ -146,6 +157,15 @@ def realizable_sequences(draw, max_len=12):
 def test_validate_permutation_invariant(seq):
     reversed_stats = validate(tuple(reversed(seq.degrees)))
     assert reversed_stats == validate(seq)
+
+
+@given(realizable_sequences())
+def test_validate_counts_entries_by_value(seq):
+    stats = validate(seq)
+    assert stats.n0 == sum(1 for d in seq if d == 0)
+    assert stats.n1 == sum(1 for d in seq if d == 1)
+    assert stats.n_ge2 == sum(1 for d in seq if d >= 2)
+    assert stats.n_ge3 == sum(1 for d in seq if d >= 3)
 
 
 @given(realizable_sequences())

@@ -19,6 +19,8 @@ from forestdom.oracle import (
     _forest_value,
     _labeled_count,
     _labeled_edge_sets,
+    _plan,
+    _ranked,
     _swap_moves,
     empirical_extremes,
     enumerate_realizations,
@@ -315,6 +317,78 @@ def test_swap_search_outputs_are_pinned():
     ]
     assert len(found) == 25
     assert hashlib.sha256(repr(found).encode()).hexdigest() == SWAP_N7_SEED11_SHA256
+
+
+# SHA-256 of repr() of the edges of swap_search_gamma(seq, restarts=5,
+# seed=3) for every seq in sweep_sequences(8), then for the padded
+# (3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0); recorded from the search that
+# scanned every move on every step
+SWAP_N8_SEED3_SHA256 = (
+    "83540602b4b0f11577dd5eb72f1b4a705f5365a59df3a126f35072a161f9d998"
+)
+
+
+def test_swap_search_outputs_are_pinned_at_n8():
+    seqs = [*sweep_sequences(8), (3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 0, 0)]
+    found = [swap_search_gamma(seq, restarts=5, seed=3).edges for seq in seqs]
+    assert len(found) == 44
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == SWAP_N8_SEED3_SHA256
+
+
+@pytest.mark.parametrize(
+    "edges,improves",
+    [
+        # a tree of value 3 that some moves raise to 4
+        ([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)], 1),
+        # a tree of value 4 that no move raises
+        ([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5), (1, 6), (1, 7), (2, 8), (3, 9)], 0),
+        # two trees
+        ([(0, 1), (0, 2), (0, 3), (0, 4), (5, 6), (6, 7), (7, 8), (8, 9)], 1),
+    ],
+)
+def test_ranked_plan_is_the_scan_in_every_edge_order(edges, improves):
+    n = 10
+    mask = _edge_mask(n, edges)
+    memo = {mask: _forest_value(n, edges)}
+    onto, best, neutral = _plan(n, edges, mask, memo)
+    rng = random.Random(5)
+    seen_from_y = 0
+    for _ in range(12):
+        order = rng.sample(edges, len(edges))
+        scan = [
+            (move, _forest_value(n, _apply_move(order, move)))
+            for move in _swap_moves(n, order, mask)
+        ]
+        forests = [(move, value) for move, value in scan if value is not None]
+        top = max(value for _, value in forests)
+        assert _ranked(onto, order) == [move for move, _ in forests]
+        assert _ranked(best, order) == [
+            move for move, value in forests if value == top > memo[mask]
+        ]
+        assert _ranked(neutral, order) == [
+            move for move, value in forests if value == memo[mask]
+        ]
+        pos = {e: k for k, e in enumerate(order)}
+        seen_from_y += sum(
+            1 for x, y, crossed, *_ in onto if crossed and pos[y] < pos[x]
+        )
+    # the crossed pairing was met with its edges in both orders
+    assert seen_from_y
+    assert bool(best) == improves
+
+
+def test_swap_search_scans_each_edge_set_once(monkeypatch):
+    scanned = []
+    real = oracle._swap_moves
+
+    def counting(n, edges, mask):
+        scanned.append(mask)
+        return real(n, edges, mask)
+
+    monkeypatch.setattr(oracle, "_swap_moves", counting)
+    swap_search_gamma((3, 2, 2, 1, 1, 1, 1, 1), restarts=6, seed=42)
+    assert scanned
+    assert len(scanned) == len(set(scanned))
 
 
 def test_swap_moves_are_simple_two_switches():
