@@ -5,7 +5,10 @@ produce realizations that attain the closed-form extremes: one leaf per
 support vertex when leaves are scarce, an all-support tree when leaves
 dominate, and as many 2-vertex components as the closed-form branch
 allows glued on top.
-All labellings are canonical, so every builder is deterministic.
+All labellings are canonical, so every builder is deterministic.  Each
+builder's edge list comes from a private helper; the public builders
+wrap it in a ``Forest``, and ``extremal_build`` combines the helpers, so
+the certificate is the one forest it validates.
 """
 
 from __future__ import annotations
@@ -79,6 +82,63 @@ def _tree_edges(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
     return edges
 
 
+def _pair_edges(first: int, count: int) -> list[tuple[int, int]]:
+    """``count`` two-vertex components on the labels from ``first`` on."""
+    return [(v, v + 1) for v in range(first, first + 2 * count, 2)]
+
+
+def _realize_edges(degrees: tuple[int, ...], c: int) -> list[tuple[int, int]]:
+    """Edges of ``realize_any`` on a valid zero-free sequence with c trees."""
+    core = len(degrees) - 2 * (c - 1)
+    return _tree_edges(degrees[:core]) + _pair_edges(core, c - 1)
+
+
+def _matched_edges(
+    degrees: tuple[int, ...], n: int, n1: int
+) -> list[tuple[int, int]]:
+    """Edges of ``matched_support_forest`` on n vertices with n1 leaves.
+
+    ``degrees`` needs only its n1 largest entries, all at least 2.
+    """
+    lowered = tuple(d - 1 for d in degrees[:n1])
+    # a zero-free forest has n - sum / 2 components
+    edges = _realize_edges(lowered, n1 - sum(lowered) // 2)
+    extra = n - 2 * n1
+    if extra > 0:
+        # subdivide the lexicographically smallest base edge
+        a, b = min(edges)
+        edges.remove((a, b))
+        chain = [a, *range(2 * n1, 2 * n1 + extra), b]
+        edges.extend(zip(chain, chain[1:]))
+    edges.extend((v, n1 + v) for v in range(n1))
+    return edges
+
+
+def _all_support_edges(inner: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges of ``all_support_tree`` whose degree->=2 entries are ``inner``."""
+    m = len(inner)
+    if m == 1:
+        e = [0]
+        edges: list[tuple[int, int]] = []
+    else:
+        e = [1] * m
+        need = m - 2
+        for i in range(m):
+            take = min(need, inner[i] - 1 - e[i])
+            e[i] += take
+            need -= take
+            if need == 0:
+                break
+        assert need == 0, "n1 > n_ge2 guarantees enough inner capacity"
+        edges = _tree_edges(tuple(e))
+    leaf = m
+    for i in range(m):
+        for _ in range(inner[i] - e[i]):
+            edges.append((i, leaf))
+            leaf += 1
+    return edges
+
+
 def realize_any(degrees: "DegreeSequence | Iterable[int]") -> Forest:
     """Build one forest realization of a zero-free sequence.
 
@@ -91,14 +151,7 @@ def realize_any(degrees: "DegreeSequence | Iterable[int]") -> Forest:
     stats = validate(seq)
     if stats.n0 != 0:
         raise PreconditionError("realize_any requires a zero-free sequence")
-    pairs = stats.c - 1
-    core = seq.degrees[: stats.n - 2 * pairs]
-    edges = _tree_edges(core)
-    base = len(core)
-    for _ in range(pairs):
-        edges.append((base, base + 1))
-        base += 2
-    return Forest(stats.n, edges)
+    return Forest(stats.n, _realize_edges(seq.degrees, stats.c))
 
 
 def matched_support_forest(degrees: "DegreeSequence | Iterable[int]") -> Forest:
@@ -117,19 +170,7 @@ def matched_support_forest(degrees: "DegreeSequence | Iterable[int]") -> Forest:
         raise PreconditionError(
             f"needs n1 <= n_ge2, have n1={stats.n1}, n_ge2={stats.n_ge2}"
         )
-    n1 = stats.n1
-    base = realize_any(DegreeSequence(tuple(d - 1 for d in seq.degrees[:n1])))
-    edges = list(base.edges)
-    for v in range(n1):
-        edges.append((v, n1 + v))
-    extra = stats.n - 2 * n1
-    if extra > 0:
-        # subdivide the lexicographically smallest base edge
-        a, b = base.edges[0]
-        edges.remove((a, b))
-        chain = [a] + [2 * n1 + i for i in range(extra)] + [b]
-        edges.extend(zip(chain, chain[1:]))
-    return Forest(stats.n, edges)
+    return Forest(stats.n, _matched_edges(seq.degrees, stats.n, stats.n1))
 
 
 def all_support_tree(degrees: "DegreeSequence | Iterable[int]") -> Forest:
@@ -150,28 +191,7 @@ def all_support_tree(degrees: "DegreeSequence | Iterable[int]") -> Forest:
         raise PreconditionError(
             f"needs n1 > n_ge2, have n1={stats.n1}, n_ge2={stats.n_ge2}"
         )
-    m = stats.n_ge2
-    inner = seq.degrees[:m]
-    if m == 1:
-        e = [0]
-        edges: list[tuple[int, int]] = []
-    else:
-        e = [1] * m
-        need = m - 2
-        for i in range(m):
-            take = min(need, inner[i] - 1 - e[i])
-            e[i] += take
-            need -= take
-            if need == 0:
-                break
-        assert need == 0, "n1 > n_ge2 guarantees enough inner capacity"
-        edges = _tree_edges(tuple(e))
-    leaf = m
-    for i in range(m):
-        for _ in range(inner[i] - e[i]):
-            edges.append((i, leaf))
-            leaf += 1
-    return Forest(stats.n, edges)
+    return Forest(stats.n, _all_support_edges(seq.degrees[: stats.n_ge2]))
 
 
 def extremal_build(degrees: "DegreeSequence | Iterable[int]") -> ExtremalCertificate:
@@ -180,28 +200,25 @@ def extremal_build(degrees: "DegreeSequence | Iterable[int]") -> ExtremalCertifi
     Splits off as many 2-vertex components as the branch allows (all
     c - 1 in branch A, ceil((n1 - n_ge2) / 2) in branch B, none in C),
     builds the rest with the all-support tree (A) or the matching base
-    construction (B, C), and re-adds the split components.  The
-    certificate carries solver values next to the closed-form ones so
-    callers can check they agree.
+    construction (B, C), and re-adds the split components.  Only the
+    certificate itself becomes a ``Forest``, so it is validated once.
+    The certificate carries solver values next to the closed-form ones
+    so callers can check they agree.
     """
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     if stats.n0 != 0 or stats.n_ge2 == 0:
         raise PreconditionError("need a zero-free sequence with an entry >= 2")
     values = extremal_values(seq)
-    if values.branch is Branch.A:
-        peeled, build = stats.c - 1, all_support_tree
-    elif values.branch is Branch.B:
-        peeled, build = (stats.n1 - stats.n_ge2 + 1) // 2, matched_support_forest
-    else:
-        peeled, build = 0, matched_support_forest
     # the sequence is non-increasing, so each peel drops two trailing 1s
-    base = build(seq.degrees[: stats.n - 2 * peeled])
-    edges = list(base.edges)
-    offset = base.n
-    for _ in range(peeled):
-        edges.append((offset, offset + 1))
-        offset += 2
+    if values.branch is Branch.A:
+        peeled = stats.c - 1
+        edges = _all_support_edges(seq.degrees[: stats.n_ge2])
+    else:
+        peeled = (stats.n1 - stats.n_ge2 + 1) // 2 if values.branch is Branch.B else 0
+        rest = stats.n - 2 * peeled
+        edges = _matched_edges(seq.degrees, rest, stats.n1 - 2 * peeled)
+    edges += _pair_edges(stats.n - 2 * peeled, peeled)
     forest = Forest(stats.n, edges)
     gamma, _ = forest.domination_number()
     alpha, _ = forest.independence_number()

@@ -69,7 +69,7 @@ class DegreeSequence:
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise ValueError("empty degree sequence")
-        return cls(tuple(int(tok) for tok in tokens))
+        return cls(tuple(map(int, tokens)))
 
     def without_zeros(self) -> "DegreeSequence":
         """Drop all zero entries (they only add isolated vertices)."""

@@ -2,8 +2,9 @@
 
 Vertices are the integers ``0 .. n-1``.  A ``Forest`` is immutable after
 construction and validates itself (no loops, no parallel edges, no
-cycles).  Solvers run linear-time dynamic programs per component; every
-tie resolves toward smaller labels, so all outputs are deterministic.
+cycles).  Solvers run linear-time dynamic programs as folds over a
+breadth-first parent array, one rooted traversal per call; every tie
+resolves toward smaller labels, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -65,20 +66,22 @@ class Forest:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
-        for prev, cur in zip(normalized, normalized[1:]):
-            if prev == cur:
-                raise DuplicateEdgeError(f"edge {cur} appears more than once")
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        parent = list(range(n))  # union-find with path halving
         for u, v in normalized:
-            ru, rv = find(u), find(v)
+            ru = u
+            while parent[ru] != ru:
+                parent[ru] = parent[parent[ru]]
+                ru = parent[ru]
+            rv = v
+            while parent[rv] != rv:
+                parent[rv] = parent[parent[rv]]
+                rv = parent[rv]
             if ru == rv:
+                # a repeated edge closes a cycle too, at its second copy;
+                # the first repeat, if any, is reported before any cycle
+                for prev, cur in zip(normalized, normalized[1:]):
+                    if prev == cur:
+                        raise DuplicateEdgeError(f"edge {cur} appears more than once")
                 raise CycleDetectedError(f"edge ({u}, {v}) closes a cycle")
             parent[rv] = ru
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -88,7 +91,7 @@ class Forest:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(normalized))
         # ascending already: edges are sorted with the smaller endpoint first
-        object.__setattr__(self, "adj", tuple(tuple(nb) for nb in adj))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Forest instances are immutable")
@@ -119,12 +122,11 @@ class Forest:
 
     def components(self) -> list[VertexSet]:
         """Vertex sets of the components, ordered by smallest member."""
-        order, _, roots = self._rooted()
+        order, parent, _ = self._rooted()
         # each component is the run of the BFS order that starts at its root
-        starts = set(roots)
         comps: list[list[int]] = []
         for v in order:
-            if v in starts:
+            if parent[v] < 0:
                 comps.append([])
             comps[-1].append(v)
         return [frozenset(comp) for comp in comps]
@@ -145,131 +147,134 @@ class Forest:
 
         Per component, a rooted 3-state program: vertex in the set,
         vertex covered by a child, or vertex left for its parent.
-        Isolated vertices are forced into the set.
+        Isolated vertices are forced into the set.  One bottom-up sweep
+        adds each vertex's costs into its parent's running sums; one
+        top-down sweep then sets each vertex's state from its parent's.
         """
         n = self.n
         if n == 0:
             return 0, frozenset()
         inf = n + 1
-        cost_in = [0] * n
-        cost_cov = [0] * n  # not in set, some child in set
-        cost_open = [0] * n  # not in set, must be covered by parent
-        order, children, roots = self._rooted()
+        order, parent, roots = self._rooted()
+        # running sums over the children folded in so far; a vertex's
+        # are final when the bottom-up sweep reaches it
+        cost_in = [1] * n  # in the set: 1 + each child's least cost
+        cost_open = [0] * n  # left for the parent: each child covered
+        # covered by a child: each child's min(in, cov), plus penalty[v].
+        # penalty[v] is 0 once some child is in at no extra cost; until
+        # then it is the least cost_in - cost_cov over the children, met
+        # first (smallest label) at child forced[v], or inf with no child
+        cost_cov = [0] * n
+        penalty = [inf] * n
+        forced = [-1] * n
         for v in reversed(order):
-            kids = children[v]
-            if not kids:
-                cost_in[v] = 1
-                cost_cov[v] = inf
-                cost_open[v] = 0
+            c_in = cost_in[v]
+            c_cov = cost_cov[v] + penalty[v]
+            cost_cov[v] = c_cov
+            p = parent[v]
+            if p < 0:
                 continue
-            cost_in[v] = 1 + sum(
-                min(cost_in[k], cost_cov[k], cost_open[k]) for k in kids
-            )
-            cost_open[v] = sum(cost_cov[k] for k in kids)
-            base = 0
-            penalty = inf
-            forced = False
-            for k in kids:
-                base += min(cost_in[k], cost_cov[k])
-                if cost_in[k] <= cost_cov[k]:
-                    forced = True
-                else:
-                    penalty = min(penalty, cost_in[k] - cost_cov[k])
-            cost_cov[v] = base if forced else base + penalty
-        chosen: list[int] = []
-        total = 0
-        stack: list[tuple[int, int]] = []
-        IN, COV, OPEN = 0, 1, 2
-        for r in roots:
-            total += min(cost_in[r], cost_cov[r])
-            stack.append((r, IN if cost_in[r] <= cost_cov[r] else COV))
-        while stack:
-            v, state = stack.pop()
-            kids = children[v]
-            if state == IN:
-                chosen.append(v)
-                for k in kids:
-                    best = min(cost_in[k], cost_cov[k], cost_open[k])
-                    if cost_in[k] == best:
-                        stack.append((k, IN))
-                    elif cost_cov[k] == best:
-                        stack.append((k, COV))
-                    else:
-                        stack.append((k, OPEN))
-            elif state == OPEN:
-                for k in kids:
-                    stack.append((k, COV))
+            c_open = cost_open[v]
+            cost_open[p] += c_cov
+            if c_in <= c_cov:
+                cost_in[p] += c_in if c_in <= c_open else c_open
+                cost_cov[p] += c_in
+                penalty[p] = 0
             else:
-                states = {}
-                have_in = False
-                for k in kids:
-                    if cost_in[k] <= cost_cov[k]:
-                        states[k] = IN
-                        have_in = True
-                    else:
-                        states[k] = COV
-                if not have_in:
-                    force = min(kids, key=lambda k: (cost_in[k] - cost_cov[k], k))
-                    states[force] = IN
-                for k in kids:
-                    stack.append((k, states[k]))
+                cost_in[p] += c_cov if c_cov <= c_open else c_open
+                cost_cov[p] += c_cov
+                # siblings arrive in descending label order, so <= keeps
+                # the smallest label among equal penalties
+                if c_in - c_cov <= penalty[p]:
+                    penalty[p] = c_in - c_cov
+                    forced[p] = v
+        IN, COV, OPEN = 0, 1, 2
+        total = sum(min(cost_in[r], cost_cov[r]) for r in roots)
+        state = [IN] * n
+        chosen: list[int] = []
+        for v in order:
+            c_in = cost_in[v]
+            c_cov = cost_cov[v]
+            p = parent[v]
+            if p < 0:
+                s = IN if c_in <= c_cov else COV
+            elif state[p] == IN:
+                c_open = cost_open[v]
+                if c_in <= c_cov and c_in <= c_open:
+                    s = IN
+                else:
+                    s = COV if c_cov <= c_open else OPEN
+            elif state[p] == OPEN:
+                s = COV
+            else:
+                # covered by a child: v joins if it costs nothing extra,
+                # or if no sibling does and v is the cheapest to force in
+                s = IN if c_in <= c_cov or (penalty[p] and forced[p] == v) else COV
+            state[v] = s
+            if s == IN:
+                chosen.append(v)
         return total, frozenset(chosen)
 
     def independence_number(self) -> tuple[int, VertexSet]:
-        """Maximum independent set size plus one witness set."""
+        """Maximum independent set size plus one witness set.
+
+        One bottom-up sweep adds each vertex's two sizes (in the set,
+        out of it) into its parent's; one top-down sweep takes a vertex
+        when its parent is out and taking it is no worse.
+        """
         n = self.n
         if n == 0:
             return 0, frozenset()
-        size_in = [0] * n
+        order, parent, roots = self._rooted()
+        size_in = [1] * n
         size_out = [0] * n
-        order, children, roots = self._rooted()
         for v in reversed(order):
-            kids = children[v]
-            size_in[v] = 1 + sum(size_out[k] for k in kids)
-            size_out[v] = sum(max(size_in[k], size_out[k]) for k in kids)
+            p = parent[v]
+            if p >= 0:
+                s_in = size_in[v]
+                s_out = size_out[v]
+                size_in[p] += s_out
+                size_out[p] += s_in if s_in >= s_out else s_out
+        total = sum(max(size_in[r], size_out[r]) for r in roots)
+        taken = [False] * n
         chosen: list[int] = []
-        total = 0
-        stack: list[tuple[int, bool]] = []
-        for r in roots:
-            total += max(size_in[r], size_out[r])
-            stack.append((r, size_in[r] >= size_out[r]))
-        while stack:
-            v, taken = stack.pop()
-            if taken:
+        for v in order:
+            p = parent[v]
+            if size_in[v] >= size_out[v] and (p < 0 or not taken[p]):
+                taken[v] = True
                 chosen.append(v)
-                for k in children[v]:
-                    stack.append((k, False))
-            else:
-                for k in children[v]:
-                    stack.append((k, size_in[k] >= size_out[k]))
         return total, frozenset(chosen)
 
-    def _rooted(self) -> tuple[list[int], list[list[int]], list[int]]:
-        """BFS order, children lists, and per-component roots (min labels).
+    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
+        """BFS order, parent array, and per-component roots (min labels).
 
         Each component is rooted at its smallest label and occupies one
-        contiguous run of the order; ``children[v]`` lists the children
-        of ``v`` in discovery order, which is ascending.
+        contiguous run of the order; ``parent`` is -1 at the roots, and
+        each vertex's children follow it in ascending label order.  The
+        solvers are folds over these: ``reversed(order)`` meets every
+        vertex after all of its children, ``order`` after its parent.
         """
-        seen = [False] * self.n
-        children: list[list[int]] = [[] for _ in range(self.n)]
+        adj = self.adj
+        parent = [-2] * self.n  # -2 until reached
         order: list[int] = []
         roots: list[int] = []
         for start in range(self.n):
-            if seen[start]:
+            if parent[start] != -2:
                 continue
-            seen[start] = True
+            parent[start] = -1
             roots.append(start)
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                order.append(v)
-                for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        children[v].append(w)
-                        queue.append(w)
-        return order, children, roots
+            # the loop walks the run as it grows: breadth-first order
+            run = [start]
+            append = run.append
+            for v in run:
+                up = parent[v]
+                # acyclic: the parent is the only neighbour reached already
+                for w in adj[v]:
+                    if w != up:
+                        parent[w] = v
+                        append(w)
+            order += run
+        return order, parent, roots
 
     # ------------------------------------------------------------------
     # paths and partial domination
@@ -322,18 +327,22 @@ class Forest:
         if self.component_count() != 1:
             raise NotConnectedError("internal_dominating_set needs one component")
         adj = self.adj
-        order, children, _ = self._rooted()
+        order, parent, _ = self._rooted()
         covered = [False] * self.n
+        # needed[v]: some child of v has degree >= 2 and is uncovered
+        needed = [False] * self.n
         chosen: list[int] = []
-        root = order[0]
         for v in reversed(order):
-            if any(len(adj[k]) >= 2 and not covered[k] for k in children[v]) or (
-                v == root and len(adj[v]) >= 2 and not covered[v]
-            ):
+            inner_open = len(adj[v]) >= 2 and not covered[v]
+            p = parent[v]
+            if needed[v] or (p < 0 and inner_open):
                 chosen.append(v)
                 covered[v] = True
                 for w in adj[v]:
                     covered[w] = True
+            elif inner_open:
+                # v's children are settled; only its parent can cover it
+                needed[p] = True
         return frozenset(chosen)
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb, factorial
 from typing import Iterable, Iterator
 
@@ -47,11 +47,27 @@ class EnumerationReport:
     witness_alpha_min: Forest
 
 
+def _joins(
+    candidates: list[int], roots: list[int], need: int, taken_root: int
+) -> Iterator[list[int]]:
+    """Each ``need``-subset of ``candidates`` in lexicographic order whose
+    roots are distinct and differ from ``taken_root``."""
+    for picked in combinations(range(len(candidates)), need):
+        if len({taken_root, *(roots[i] for i in picked)}) == need + 1:
+            yield [candidates[i] for i in picked]
+
+
 def _labeled_edge_sets(
     degrees: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield the edge set of every labelled forest where vertex i has
-    degree degrees[i] (assumed non-increasing)."""
+    degree degrees[i] (assumed non-increasing).
+
+    The lowest vertex with slots left takes its neighbours among the
+    later ones, in every way that joins distinct trees.  The walk keeps
+    one frame per such vertex on an explicit stack, so its depth is
+    bounded by memory rather than by the interpreter's recursion limit.
+    """
     n = len(degrees)
     residual = list(degrees)
     parent = list(range(n))  # union-find, no compression, unwindable
@@ -62,52 +78,48 @@ def _labeled_edge_sets(
         return x
 
     edges: list[tuple[int, int]] = []
-
-    def assign(u: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    # per frame: vertex, its root, its slot count, its choices, and the
+    # roots merged by the choice applied now (empty before the first)
+    frames: list[tuple[int, int, int, Iterator[list[int]], list[int]]] = []
+    u = 0
+    while True:
         while u < n and residual[u] == 0:
             u += 1
         if u == n:
             yield tuple(edges)
-            return
-        need = residual[u]
-        candidates = [v for v in range(u + 1, n) if residual[v] > 0]
-        root_u = find(u)
-        chosen: list[int] = []
-        used_roots = {root_u}
-
-        def choose(idx: int, left: int) -> Iterator[tuple[tuple[int, int], ...]]:
-            if left == 0:
-                undo = []
-                residual[u] = 0
-                for v in chosen:
-                    residual[v] -= 1
-                    edges.append((u, v))
-                    rv = find(v)
-                    undo.append(rv)
-                    parent[rv] = root_u
-                yield from assign(u + 1)
-                for rv in reversed(undo):
+        else:
+            candidates = [v for v in range(u + 1, n) if residual[v] > 0]
+            root_u = find(u)
+            roots = [find(v) for v in candidates]
+            choices = _joins(candidates, roots, residual[u], root_u)
+            frames.append((u, root_u, residual[u], choices, []))
+        # undo the top frame's choice and apply its next one, popping
+        # the frames that have none left
+        while frames:
+            u, root_u, need, choices, merged = frames[-1]
+            if merged:
+                for rv in reversed(merged):
                     parent[rv] = rv
-                for v in chosen:
+                merged.clear()
+                for _, v in edges[len(edges) - need:]:
                     residual[v] += 1
-                del edges[len(edges) - len(chosen):]
+                del edges[len(edges) - need:]
                 residual[u] = need
-                return
-            if len(candidates) - idx < left:
-                return
-            v = candidates[idx]
-            root_v = find(v)
-            if root_v not in used_roots:
-                chosen.append(v)
-                used_roots.add(root_v)
-                yield from choose(idx + 1, left - 1)
-                used_roots.discard(root_v)
-                chosen.pop()
-            yield from choose(idx + 1, left)
-
-        yield from choose(0, need)
-
-    yield from assign(0)
+            chosen = next(choices, None)
+            if chosen is None:
+                frames.pop()
+                continue
+            residual[u] = 0
+            for v in chosen:
+                residual[v] -= 1
+                edges.append((u, v))
+                rv = find(v)
+                merged.append(rv)
+                parent[rv] = root_u
+            u += 1
+            break
+        else:
+            return
 
 
 def _labeled_count(degrees: tuple[int, ...]) -> int:

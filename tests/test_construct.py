@@ -1,5 +1,6 @@
 import pytest
 
+from forestdom import construct
 from forestdom.construct import (
     InfeasibleSplitError,
     PreconditionError,
@@ -10,6 +11,7 @@ from forestdom.construct import (
     realize_any,
 )
 from forestdom.degseq import Branch, DegreeSequence, validate
+from forestdom.forest import Forest
 from forestdom.formulas import extremal_values
 from forestdom.oracle import sweep_sequences
 
@@ -190,6 +192,31 @@ def test_extremal_build_certificates_tight_over_sweep():
         assert cert.forest.degree_sequence() == seq
         assert cert.gamma == cert.expected_gamma_max == extremal_values(seq).gamma_max
         assert cert.alpha == cert.expected_alpha_min == extremal_values(seq).alpha_min
+
+
+@pytest.mark.parametrize(
+    "degrees,branch",
+    [
+        ((3, 3) + (1,) * 8, Branch.A),
+        ((2, 2, 2) + (1,) * 10, Branch.B),
+        ((3, 2, 2, 2, 1, 1, 1), Branch.C),
+    ],
+)
+def test_extremal_build_constructs_one_forest(monkeypatch, degrees, branch):
+    # the builders' edge lists meet only in the certificate, which is
+    # the one Forest validated
+    built = []
+
+    class CountingForest(Forest):
+        def __init__(self, n, edges=()):
+            built.append(n)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(construct, "Forest", CountingForest)
+    cert = extremal_build(degrees)
+    assert cert.branch is branch
+    assert built == [len(degrees)]
+    assert cert.forest.degree_sequence() == DegreeSequence(degrees)
 
 
 def test_extremal_build_preconditions():

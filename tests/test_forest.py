@@ -1,10 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestdom.construct import random_forest
+from forestdom.construct import extremal_build, random_forest
 from forestdom.degseq import DegreeSequence
 from forestdom.forest import (
     CycleDetectedError,
@@ -18,6 +19,7 @@ from forestdom.forest import (
     read_forest,
     write_forest,
 )
+from forestdom.oracle import sweep_sequences
 
 from brute import (
     brute_domination_number,
@@ -88,6 +90,16 @@ def test_rejects_duplicate_edge():
 def test_rejects_cycle():
     with pytest.raises(CycleDetectedError):
         Forest(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_repeated_edge_is_reported_before_a_cycle():
+    # (1, 2) closes the cycle before the repeat of (2, 3) is reached
+    # in sorted order; the repeat still names the error
+    edges = [(0, 1), (1, 2), (2, 0), (3, 2), (2, 3)]
+    with pytest.raises(DuplicateEdgeError, match=r"edge \(2, 3\) appears"):
+        Forest(4, edges)
+    with pytest.raises(CycleDetectedError, match=r"edge \(1, 2\) closes"):
+        Forest(4, edges[:4])
 
 
 def test_rejects_bad_labels():
@@ -203,6 +215,48 @@ def test_solvers_match_brute_force_on_drawn_forests(forest):
     assert dom <= set(range(forest.n)) and ind <= set(range(forest.n))
     assert len(dom) == gamma and is_dominating(forest, dom)
     assert len(ind) == alpha and is_independent(forest, ind)
+
+
+def _solver_values(forest):
+    gamma, dom = forest.domination_number()
+    alpha, ind = forest.independence_number()
+    inner = None
+    if forest.component_count() == 1:
+        inner = sorted(forest.internal_dominating_set())
+    comps = [sorted(comp) for comp in forest.components()]
+    return (gamma, sorted(dom), alpha, sorted(ind), comps, inner)
+
+
+def _relabelled(forest, rng):
+    labels = list(range(forest.n))
+    rng.shuffle(labels)
+    return Forest(forest.n, [(labels[u], labels[v]) for u, v in forest.edges])
+
+
+# SHA-256 of repr() of: _solver_values over 300 seeded random_forest draws
+# with n <= 60 (half of them trees), each in its own labels and then
+# relabelled, and over a 20,000-vertex tree in both labellings; then the
+# extremal_build edges of every sweep_sequences(12) member.  Recorded from
+# the solvers that kept children lists and a witness stack; the parent-
+# array folds must reproduce every tie-break
+SOLVERS_SHA256 = (
+    "b10f3a17d239c4458a5946f461c209b9e42d67a3f643e1368effec72cb3e4d60"
+)
+
+
+def test_solver_outputs_are_pinned():
+    rng = random.Random(20260)
+    forests = []
+    for draw in range(300):
+        n = rng.randint(1, 60)
+        target = 1 if draw % 2 else rng.randint(1, n)
+        forest = random_forest(n, target, seed=rng.randrange(10**6))
+        forests += [forest, _relabelled(forest, rng)]
+    big = random_forest(20_000, 1, seed=7)
+    forests += [big, _relabelled(big, rng)]
+    values = [_solver_values(forest) for forest in forests]
+    values.append([extremal_build(seq).forest.edges for seq in sweep_sequences(12)])
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == SOLVERS_SHA256
 
 
 def test_solvers_deterministic():

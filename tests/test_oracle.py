@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import Counter
 from math import factorial
 
@@ -190,6 +191,23 @@ def test_iso_classes_match_labeled_walk():
         walked = {canonical_key(n, edges) for edges in _labeled_edge_sets(degrees)}
         assert set(keys) == walked, degrees
     assert list(enumerate_realizations((0, 0, 0), iso_dedup=True)) == [Forest(3)]
+
+
+@pytest.mark.parametrize("degrees", [(2,) * 250 + (1, 1), (1,) * 800])
+def test_labeled_walk_needs_no_deep_recursion(degrees):
+    # one frame per vertex: past the interpreter's limit when recursive
+    limit = sys.getrecursionlimit()
+    walk = enumerate_realizations(degrees, iso_dedup=False, cap=5000)
+    first, second = next(walk), next(walk)
+    assert sys.getrecursionlimit() == limit
+    for forest in (first, second):
+        assert [len(nb) for nb in forest.adj] == list(degrees)
+    # the first choice of every vertex is its lowest open candidate
+    if degrees[0] == 1:
+        assert first.edges == tuple((v, v + 1) for v in range(0, 800, 2))
+    else:
+        assert first.edges == ((0, 1), (0, 2), *((v, v + 2) for v in range(1, 250)))
+    assert first.edges < second.edges
 
 
 def test_size_cap():
