@@ -274,9 +274,6 @@ def random_forest(n: int, component_target: int, seed: int) -> Forest:
         size = hi - lo
         if size == 1:
             continue
-        if size == 2:
-            edges.append((lo, lo + 1))
-            continue
         code = [rng.randrange(size) for _ in range(size - 2)]
         edges.extend((lo + u, lo + v) for u, v in _decode_prufer(code))
     return Forest(n, edges)

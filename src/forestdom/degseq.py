@@ -33,6 +33,15 @@ class NotPeelableError(DegreeSequenceError):
     """Splitting off a 2-vertex component needs c >= 2 and two 1-entries."""
 
 
+def stray_char(text: str) -> "str | None":
+    """The first character that ``int()`` reads but plain ASCII integer
+    text does not have (``1_0`` is 10, ``+1`` and a fullwidth 1 are 1):
+    a non-ASCII one, ``_`` or ``+``; None if there is none."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        return None
+    return next(ch for ch in text if not ch.isascii() or ch in "_+")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Immutable multiset of vertex degrees, stored non-increasing.
@@ -65,7 +74,10 @@ class DegreeSequence:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
-        """Parse a comma- or whitespace-separated list of integers."""
+        """Parse a comma- or whitespace-separated list of plain integers."""
+        bad = stray_char(text)
+        if bad is not None:
+            raise ValueError(f"unexpected character {bad!r} in degree sequence")
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise ValueError("empty degree sequence")

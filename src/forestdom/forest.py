@@ -10,10 +10,10 @@ resolves toward smaller labels, so all outputs are deterministic.
 from __future__ import annotations
 
 import json
-from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .degseq import DegreeSequence
+from .degseq import DegreeSequence, stray_char
 
 VertexSet = frozenset[int]
 
@@ -147,7 +147,7 @@ class Forest:
 
         Per component, a rooted 3-state program: vertex in the set,
         vertex covered by a child, or vertex left for its parent.
-        Isolated vertices are forced into the set.  One bottom-up sweep
+        Isolated vertices always join the set.  One bottom-up sweep
         adds each vertex's costs into its parent's running sums; one
         top-down sweep then sets each vertex's state from its parent's.
         """
@@ -160,13 +160,11 @@ class Forest:
         # are final when the bottom-up sweep reaches it
         cost_in = [1] * n  # in the set: 1 + each child's least cost
         cost_open = [0] * n  # left for the parent: each child covered
-        # covered by a child: each child's min(in, cov), plus penalty[v].
-        # penalty[v] is 0 once some child is in at no extra cost; until
-        # then it is the least cost_in - cost_cov over the children, met
-        # first (smallest label) at child forced[v], or inf with no child
+        # covered by a child: each child's min(in, cov), plus penalty[v]:
+        # 0 once some child prefers the set, 1 if none does (cost_in <=
+        # cost_cov + 1 always holds), inf with no child
         cost_cov = [0] * n
         penalty = [inf] * n
-        forced = [-1] * n
         for v in reversed(order):
             c_in = cost_in[v]
             c_cov = cost_cov[v] + penalty[v]
@@ -183,11 +181,8 @@ class Forest:
             else:
                 cost_in[p] += c_cov if c_cov <= c_open else c_open
                 cost_cov[p] += c_cov
-                # siblings arrive in descending label order, so <= keeps
-                # the smallest label among equal penalties
-                if c_in - c_cov <= penalty[p]:
-                    penalty[p] = c_in - c_cov
-                    forced[p] = v
+                if penalty[p] == inf:
+                    penalty[p] = 1
         IN, COV, OPEN = 0, 1, 2
         total = sum(min(cost_in[r], cost_cov[r]) for r in roots)
         state = [IN] * n
@@ -207,9 +202,10 @@ class Forest:
             elif state[p] == OPEN:
                 s = COV
             else:
-                # covered by a child: v joins if it costs nothing extra,
-                # or if no sibling does and v is the cheapest to force in
-                s = IN if c_in <= c_cov or (penalty[p] and forced[p] == v) else COV
+                # covered by a child: p's penalty is 0, since a vertex with
+                # penalty 1 has cost_in <= cost_cov and cost_open < cost_cov
+                # and no branch puts it here; so some child joins for free
+                s = IN if c_in <= c_cov else COV
             state[v] = s
             if s == IN:
                 chosen.append(v)
@@ -245,20 +241,22 @@ class Forest:
                 chosen.append(v)
         return total, frozenset(chosen)
 
-    def _rooted(self) -> tuple[list[int], list[int], list[int]]:
-        """BFS order, parent array, and per-component roots (min labels).
+    def _rooted(self, first: int = 0) -> tuple[list[int], list[int], list[int]]:
+        """BFS order, parent array, and per-component roots.
 
-        Each component is rooted at its smallest label and occupies one
-        contiguous run of the order; ``parent`` is -1 at the roots, and
-        each vertex's children follow it in ascending label order.  The
-        solvers are folds over these: ``reversed(order)`` meets every
-        vertex after all of its children, ``order`` after its parent.
+        The first component is rooted at ``first``, which may be any
+        label, and every other at its smallest label.  Each component
+        occupies one contiguous run of the order; ``parent`` is -1 at
+        the roots, and each vertex's children follow it in ascending
+        label order.  The solvers are folds over these:
+        ``reversed(order)`` meets every vertex after all of its
+        children, ``order`` after its parent.
         """
         adj = self.adj
         parent = [-2] * self.n  # -2 until reached
         order: list[int] = []
         roots: list[int] = []
-        for start in range(self.n):
+        for start in chain((first,) if self.n else (), range(self.n)):
             if parent[start] != -2:
                 continue
             parent[start] = -1
@@ -288,31 +286,19 @@ class Forest:
         """
         if self.component_count() != 1:
             raise NotConnectedError("longest_path needs exactly one component")
-        first, _ = self._farthest_from(0)
-        last, parent = self._farthest_from(first)
-        path = [last]
-        while path[-1] != first:
+        end = 0
+        for _ in range(2):
+            start = end
+            order, parent, _ = self._rooted(start)
+            depth = [0] * self.n
+            for v in order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            end = min(order, key=lambda v: (-depth[v], v))
+        path = [end]
+        while path[-1] != start:
             path.append(parent[path[-1]])
         path.reverse()
         return path
-
-    def _farthest_from(self, start: int) -> tuple[int, dict[int, int]]:
-        """Farthest vertex (smallest label on ties) and the BFS parents."""
-        dist = {start: 0}
-        parent = {start: -1}
-        queue = deque([start])
-        best, best_dist = start, 0
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if w in dist:
-                    continue
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-                if dist[w] > best_dist or (dist[w] == best_dist and w < best):
-                    best, best_dist = w, dist[w]
-        return best, parent
 
     def internal_dominating_set(self) -> VertexSet:
         """A minimum set whose members cover every vertex of degree >= 2.
@@ -388,6 +374,9 @@ def from_text(text: str) -> Forest:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_json(text)
+    bad = stray_char(text)
+    if bad is not None:
+        raise ForestFormatError(f"unexpected character {bad!r}")
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ForestFormatError("empty forest document")

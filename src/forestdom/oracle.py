@@ -125,56 +125,43 @@ def _labeled_edge_sets(
 def _labeled_count(degrees: tuple[int, ...]) -> int:
     """Number of labelled forests where vertex i has degree degrees[i].
 
-    A labelled tree on a vertex set B with degrees d_v has
-    (|B|-2)! / prod (d_v - 1)! Prufer codes (Moon, *Counting Labelled
-    Trees*, 1970), so the forests are the splits of the positive entries
-    into tree blocks B with sum d = 2|B| - 2, weighted by that product.
-    Vertices of equal degree are interchangeable, so the split runs over
-    vectors of remaining multiplicities: each step removes the block that
-    holds one fixed leaf, which every non-empty remainder has, choosing
-    its other members by binomials.  Zero entries are isolated vertices
-    and the empty remainder counts 1.
+    ``degrees`` must be a validated forest sequence.  A labelled tree on
+    a vertex set B with degrees d_v has (|B|-2)! / prod (d_v - 1)!
+    Prufer codes (Moon, *Counting Labelled Trees*, 1970), so the forests
+    are the splits of the positive entries into tree blocks B with
+    sum d = 2|B| - 2, weighted by that product.  Vertices of equal degree
+    are interchangeable, so the count folds up over the number of trees
+    c: a c-tree forest on inner multiplicities m has 2c + sum m (d - 2)
+    leaves, and removing the block that holds one fixed leaf, its other
+    members chosen by binomials, leaves a (c-1)-tree forest.  Zero
+    entries are isolated vertices; the empty forest counts 1.
     """
     tally = Counter(d for d in degrees if d > 1)
     inner = sorted(tally)
-    # (leaves, multiplicities of inner) -> number of forests on them
-    memo: dict[tuple[int, tuple[int, ...]], int] = {(0, (0,) * len(inner)): 1}
-
-    def forests(leaves: int, left: tuple[int, ...]):
-        """Sum over the block that holds one fixed leaf.  It yields each
-        remainder and is sent that remainder's count, so blocks nest on
-        an explicit stack rather than the interpreter's."""
-        if not leaves:
-            return 0  # inner vertices but no leaf: the empty rest is in memo
-        total = 0
-        for take in product(*(range(m + 1) for m in left)):
-            # a tree has 2 + sum (d - 2) leaves over its inner vertices
-            block_leaves = 2 + sum(j * (d - 2) for j, d in zip(take, inner))
-            if block_leaves > leaves:
-                continue
-            size = block_leaves + sum(take)
-            ways = factorial(size - 2) * comb(leaves - 1, block_leaves - 1)
-            for j, d, m in zip(take, inner, left):
-                ways = ways * comb(m, j) // factorial(d - 1) ** j
-            rest = tuple(m - j for m, j in zip(left, take))
-            total += ways * (yield leaves - block_leaves, rest)
-        return total
-
-    root = (sum(1 for d in degrees if d == 1), tuple(tally[d] for d in inner))
-    stack = [] if root in memo else [(root, forests(*root))]
-    count = None
-    while stack:
-        state, frame = stack[-1]
-        try:
-            sub = frame.send(count)
-        except StopIteration as done:
-            memo[state] = count = done.value
-            stack.pop()
-            continue
-        count = memo.get(sub)
-        if count is None:
-            stack.append((sub, forests(*sub)))
-    return memo[root]
+    full = tuple(tally[d] for d in inner)
+    trees = (degrees.count(1) - sum(m * (d - 2) for m, d in zip(full, inner))) // 2
+    # level c: multiplicities -> number of c-tree forests on them; level 0
+    # holds the empty forest alone, every later level each vector
+    level = {(0,) * len(inner): 1}
+    for c in range(1, trees + 1):
+        counts = {}
+        for left in product(*(range(m + 1) for m in full)) if c < trees else [full]:
+            leaves = 2 * c + sum(m * (d - 2) for m, d in zip(left, inner))
+            total = 0
+            for take in product(*(range(m + 1) for m in left)):
+                rest = level.get(tuple(m - j for m, j in zip(left, take)))
+                if rest is None:
+                    continue
+                # a tree has 2 + sum (d - 2) leaves over its inner vertices
+                block_leaves = 2 + sum(j * (d - 2) for j, d in zip(take, inner))
+                size = block_leaves + sum(take)
+                ways = factorial(size - 2) * comb(leaves - 1, block_leaves - 1)
+                for j, d, m in zip(take, inner, left):
+                    ways = ways * comb(m, j) // factorial(d - 1) ** j
+                total += ways * rest
+            counts[left] = total
+        level = counts
+    return level[full]
 
 
 # A planted tree is a rooted tree whose root also has a parent outside

@@ -132,6 +132,27 @@ def test_solve_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "sequence", ["1_0,1,1,1,1,1,1,1,1,1,1", "\u0663,1,1,1", "\uff11,1", "+1,1"]
+)
+def test_eval_rejects_coerced_integer_text(capsys, sequence):
+    # int() reads each as a valid sequence: 10 (a star) or 3 or 1
+    code, out, err = run(capsys, ["eval", sequence])
+    assert code == 1
+    assert out == ""
+    assert "unexpected character" in err
+
+
+@pytest.mark.parametrize("text", ["n 1_0\n", "n 2\n0 +1\n", "n \uff12\n0 1\n"])
+def test_solve_rejects_coerced_integer_text(capsys, tmp_path, text):
+    path = tmp_path / "forest.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1
+    assert out == ""
+    assert "ForestFormatError" in err and "unexpected character" in err
+
+
 def test_solve_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3}')

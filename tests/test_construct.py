@@ -238,6 +238,15 @@ def test_random_forest_deterministic_per_seed():
     assert one != other  # overwhelmingly likely and fixed by the seeds
 
 
+def test_random_forest_two_vertex_blocks_are_edges():
+    assert random_forest(2, 1, seed=3) == Forest(2, [(0, 1)])
+    # blocks of sizes 2, 1, 7, 2; recorded when blocks of 2 were special-
+    # cased.  A block of 2 draws nothing, so the 7-block after it is unmoved
+    assert random_forest(12, 4, seed=1).edges == (
+        (0, 1), (3, 5), (3, 6), (4, 5), (6, 8), (6, 9), (7, 9), (10, 11)
+    )
+
+
 def test_random_forest_component_target():
     for n, k in [(1, 1), (7, 3), (12, 12), (30, 1)]:
         assert random_forest(n, k, seed=0).component_count() == k

@@ -61,6 +61,13 @@ def test_parse_accepts_commas_and_whitespace():
         DegreeSequence.parse("3,two")
 
 
+@pytest.mark.parametrize("text", ["1_0,1", "\u0663,1,1,1", "\uff11,1", "+1,1", "2,1,1\u00a0"])
+def test_parse_rejects_what_int_would_coerce(text):
+    # int() coerces each of these, and split() drops the no-break space
+    with pytest.raises(ValueError, match="unexpected character"):
+        DegreeSequence.parse(text)
+
+
 def test_validate_tree_sequence():
     stats = validate((3, 2, 2, 1, 1, 1))
     assert (stats.n, stats.n0, stats.n1, stats.n_ge2) == (6, 0, 3, 3)

@@ -283,6 +283,27 @@ def test_longest_path_needs_connected():
         Forest(2).longest_path()
 
 
+# SHA-256 of repr() of longest_path() over 400 seeded random_forest trees
+# with n <= 80, each in its own labels and then relabelled, and over a
+# 20,000-vertex tree in both labellings.  Recorded from the two-BFS
+# version that kept its own dict-and-deque sweep
+LONGEST_PATH_SHA256 = (
+    "90ce4835544e698bd78ab5ab2f34c9120e8f71eb663f1216d04a53e9ca70e866"
+)
+
+
+def test_longest_path_is_pinned():
+    rng = random.Random(4127)
+    paths = []
+    for _ in range(400):
+        n = rng.randint(1, 80)
+        tree = random_forest(n, 1, seed=rng.randrange(10**6))
+        paths += [tree.longest_path(), _relabelled(tree, rng).longest_path()]
+    big = random_forest(20_000, 1, seed=11)
+    paths += [big.longest_path(), _relabelled(big, rng).longest_path()]
+    assert hashlib.sha256(repr(paths).encode()).hexdigest() == LONGEST_PATH_SHA256
+
+
 def test_longest_path_is_a_real_path():
     for seed in range(20):
         tree = random_forest(17, 1, seed=seed)
@@ -370,6 +391,14 @@ def test_format_errors():
         from_text("n 3\n0 1 2\n")
     with pytest.raises(CycleDetectedError):
         from_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+
+@pytest.mark.parametrize(
+    "text", ["n 1_0\n", "n 3\n0 +1\n", "n \u0663\n0 1\n", "n 3\n\uff10 1\n"]
+)
+def test_text_format_rejects_what_int_would_coerce(text):
+    with pytest.raises(ForestFormatError, match="unexpected character"):
+        from_text(text)
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,21 @@ def test_labeled_count_gives_labeled_forest_totals():
     assert totals == LABELED_FORESTS
 
 
+# recorded from the memoized top-down count; each has 7 to 18 trees and
+# several inner degrees, far past what the labelled walk can check
+@pytest.mark.parametrize(
+    "degrees, count",
+    [
+        ((3,) * 12 + (2,) * 10 + (1,) * 26, 404504670189546381528377565789292756992000000000),
+        ((5, 3, 3, 2, 2, 2) + (1,) * 41, 9056665689178202580570866480700000),
+        ((4, 4, 3, 3, 2, 2, 2) + (1,) * 30, 171949995315417550631400000),
+    ],
+)
+def test_labeled_count_pinned_on_multi_tree_sequences(degrees, count):
+    assert validate(degrees).c > 1
+    assert _labeled_count(degrees) == count
+
+
 def test_iso_classes_match_labeled_walk():
     # one forest per class: distinct keys, and together every class the
     # full labelled walk meets, with vertex i of degree degrees[i]
