@@ -25,7 +25,7 @@ from .degseq import (
     validate,
 )
 from .forest import Forest
-from .formulas import extremal_values
+from .formulas import _values
 
 
 class PreconditionError(ValueError):
@@ -209,7 +209,7 @@ def extremal_build(degrees: "DegreeSequence | Iterable[int]") -> ExtremalCertifi
     stats = validate(seq)
     if stats.n0 != 0 or stats.n_ge2 == 0:
         raise PreconditionError("need a zero-free sequence with an entry >= 2")
-    values = extremal_values(seq)
+    values = _values(stats)
     # the sequence is non-increasing, so each peel drops two trailing 1s
     if values.branch is Branch.A:
         peeled = stats.c - 1

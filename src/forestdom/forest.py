@@ -349,7 +349,9 @@ def from_json(text: str) -> Forest:
     """Parse the JSON forest document."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json decodes nested arrays recursively, so deep nesting runs
+        # out of stack rather than failing to parse
         raise ForestFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ForestFormatError("expected an object with fields 'n' and 'edges'")

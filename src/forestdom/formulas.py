@@ -37,19 +37,14 @@ class ExtremalValues:
     zeros_stripped: int
 
 
-def _stripped(degrees: "DegreeSequence | Iterable[int]") -> tuple[SequenceStats, int]:
-    """Stats of the positive part, plus the number of zeros removed.
+def _values(stats: SequenceStats) -> ExtremalValues:
+    """Both closed forms from the stats of a validated sequence.
 
-    Dropping zeros changes only ``n`` and ``n0``; the positive part of an
-    all-zero sequence is empty, with ``n == 0``.
+    Zeros are stripped first: dropping them changes only ``n`` and
+    ``n0``, and the positive part of an all-zero sequence is empty.
     """
-    stats = validate(degrees)
-    return replace(stats, n=stats.n - stats.n0, n0=0), stats.n0
-
-
-def extremal_values(degrees: "DegreeSequence | Iterable[int]") -> ExtremalValues:
-    """Evaluate both closed forms for a realizable sequence."""
-    stats, zeros = _stripped(degrees)
+    zeros = stats.n0
+    stats = replace(stats, n=stats.n - zeros, n0=0)
     if stats.n_ge2 == 0:
         # Only 1-entries left, or none: the unique realization is n/2
         # disjoint edges, each contributing 1 to both numbers.
@@ -66,6 +61,11 @@ def extremal_values(degrees: "DegreeSequence | Iterable[int]") -> ExtremalValues
         gamma = (stats.n + stats.n1 - 2 + 2) // 3  # ceil((n + n1 - 2) / 3)
         alpha = (stats.n + 1) // 2
     return ExtremalValues(zeros + gamma, zeros + alpha, tag, zeros)
+
+
+def extremal_values(degrees: "DegreeSequence | Iterable[int]") -> ExtremalValues:
+    """Evaluate both closed forms for a realizable sequence."""
+    return _values(validate(degrees))
 
 
 def gamma_max(degrees: "DegreeSequence | Iterable[int]") -> int:

@@ -47,14 +47,28 @@ class EnumerationReport:
     witness_alpha_min: Forest
 
 
-def _joins(
-    candidates: list[int], roots: list[int], need: int, taken_root: int
-) -> Iterator[list[int]]:
-    """Each ``need``-subset of ``candidates`` in lexicographic order whose
-    roots are distinct and differ from ``taken_root``."""
-    for picked in combinations(range(len(candidates)), need):
-        if len({taken_root, *(roots[i] for i in picked)}) == need + 1:
-            yield [candidates[i] for i in picked]
+def _choices(
+    u: int, residual: list[int], tree: list[int], edges: tuple[tuple[int, int], ...]
+) -> Iterator[tuple[list[int], list[int], tuple[tuple[int, int], ...]]]:
+    """Each way, in lexicographic order, for vertex ``u`` to fill its
+    open slots from the later open vertices, joining distinct trees.
+
+    ``tree[v]`` labels the tree that holds ``v``.  Every choice comes
+    out as a fresh ``(residual, tree, edges)`` state, with the merged
+    trees relabelled in a copied list, so nothing needs undoing.
+    """
+    candidates = [v for v in range(u + 1, len(residual)) if residual[v] > 0]
+    own = tree[u]
+    for picked in combinations(candidates, residual[u]):
+        joined = {tree[v] for v in picked}
+        if own in joined or len(joined) < len(picked):
+            continue
+        left = residual.copy()
+        left[u] = 0
+        for v in picked:
+            left[v] -= 1
+        merged = [own if t in joined else t for t in tree]
+        yield left, merged, edges + tuple([(u, v) for v in picked])
 
 
 def _labeled_edge_sets(
@@ -65,61 +79,23 @@ def _labeled_edge_sets(
 
     The lowest vertex with slots left takes its neighbours among the
     later ones, in every way that joins distinct trees.  The walk keeps
-    one frame per such vertex on an explicit stack, so its depth is
-    bounded by memory rather than by the interpreter's recursion limit.
+    one iterator of states per such vertex on an explicit stack, so its
+    depth is bounded by memory rather than by the interpreter's
+    recursion limit.
     """
     n = len(degrees)
-    residual = list(degrees)
-    parent = list(range(n))  # union-find, no compression, unwindable
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    edges: list[tuple[int, int]] = []
-    # per frame: vertex, its root, its slot count, its choices, and the
-    # roots merged by the choice applied now (empty before the first)
-    frames: list[tuple[int, int, int, Iterator[list[int]], list[int]]] = []
-    u = 0
-    while True:
-        while u < n and residual[u] == 0:
-            u += 1
+    frames = [iter([(list(degrees), list(range(n)), ())])]
+    while frames:
+        state = next(frames[-1], None)
+        if state is None:
+            frames.pop()
+            continue
+        residual, tree, edges = state
+        u = next(filter(residual.__getitem__, range(n)), n)  # lowest open vertex
         if u == n:
-            yield tuple(edges)
+            yield edges
         else:
-            candidates = [v for v in range(u + 1, n) if residual[v] > 0]
-            root_u = find(u)
-            roots = [find(v) for v in candidates]
-            choices = _joins(candidates, roots, residual[u], root_u)
-            frames.append((u, root_u, residual[u], choices, []))
-        # undo the top frame's choice and apply its next one, popping
-        # the frames that have none left
-        while frames:
-            u, root_u, need, choices, merged = frames[-1]
-            if merged:
-                for rv in reversed(merged):
-                    parent[rv] = rv
-                merged.clear()
-                for _, v in edges[len(edges) - need:]:
-                    residual[v] += 1
-                del edges[len(edges) - need:]
-                residual[u] = need
-            chosen = next(choices, None)
-            if chosen is None:
-                frames.pop()
-                continue
-            residual[u] = 0
-            for v in chosen:
-                residual[v] -= 1
-                edges.append((u, v))
-                rv = find(v)
-                merged.append(rv)
-                parent[rv] = root_u
-            u += 1
-            break
-        else:
-            return
+            frames.append(_choices(u, residual, tree, edges))
 
 
 def _labeled_count(degrees: tuple[int, ...]) -> int:
@@ -358,12 +334,9 @@ def enumerate_realizations(
     """
     _, degs = _checked(degrees, cap)
     n = len(degs)
-    if iso_dedup:
-        for edges in _iso_edge_sets(degs):
-            yield Forest(n, edges)
-    else:
-        for edges in _labeled_edge_sets(degs):
-            yield Forest(n, edges)
+    walk = _iso_edge_sets if iso_dedup else _labeled_edge_sets
+    for edges in walk(degs):
+        yield Forest(n, edges)
 
 
 def empirical_extremes(

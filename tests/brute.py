@@ -1,11 +1,13 @@
-"""Small brute-force oracles used only by the tests.
+"""Independent oracles used only by the tests.
 
 Deliberately written along different lines than the library: domination
 and independence by subset search, realization enumeration by
 include/exclude over the list of vertex pairs, acyclicity by comparing
 edge and component counts, and isomorphism classes by a canonical
 string per component, rooted at the centres found by trimming leaves.
-Only usable at toy sizes.
+These are only usable at toy sizes.  For large forests, domination and
+independence also come from the classical linear greedy algorithms,
+over a breadth-first search of their own.
 """
 
 from __future__ import annotations
@@ -54,6 +56,66 @@ def brute_independence_number(n: int, edges) -> int:
             if all((a, b) not in edge_set for a, b in combinations(subset, 2)):
                 return size
     raise AssertionError("the empty set is always independent")
+
+
+def _bfs_parents(n: int, edges):
+    """Adjacency lists, the vertices in breadth-first order from each
+    smallest unseen label, and each vertex's parent (-1 at a root)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    seen = [False] * n
+    order: list[int] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+    return adj, order, parent
+
+
+def greedy_domination_number(n: int, edges) -> int:
+    """Domination number of a forest by the deepest-first greedy
+    (Cockayne, Goodman and Hedetniemi, 1975): an undominated vertex puts
+    its parent in the set, or itself at a root."""
+    adj, order, parent = _bfs_parents(n, edges)
+    dominated = [False] * n
+    size = 0
+    for v in reversed(order):
+        if dominated[v]:
+            continue
+        chosen = v if parent[v] < 0 else parent[v]
+        size += 1
+        dominated[chosen] = True
+        for w in adj[chosen]:
+            dominated[w] = True
+    return size
+
+
+def matching_independence_number(n: int, edges) -> int:
+    """Independence number of a forest as n minus a maximum matching
+    (Konig), the matching found by pairing each unmatched vertex, deepest
+    first, with its unmatched parent."""
+    _, order, parent = _bfs_parents(n, edges)
+    matched = [False] * n
+    pairs = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and not matched[v] and not matched[p]:
+            matched[v] = matched[p] = True
+            pairs += 1
+    return n - pairs
 
 
 def _is_forest(n: int, edges) -> bool:

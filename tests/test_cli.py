@@ -161,6 +161,16 @@ def test_solve_malformed_file(capsys, tmp_path):
     assert "ForestFormatError" in err
 
 
+def test_solve_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ForestFormatError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_match(capsys):
     code, out, _ = run(capsys, ["verify", "--json", "2,2,1,1,1,1,1,1"])
     assert code == 0

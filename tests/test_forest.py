@@ -25,6 +25,8 @@ from brute import (
     brute_domination_number,
     brute_independence_number,
     brute_internal_domination_number,
+    greedy_domination_number,
+    matching_independence_number,
 )
 
 
@@ -265,6 +267,23 @@ def test_solvers_deterministic():
     assert forest.independence_number() == forest.independence_number()
 
 
+def test_solvers_match_greedy_algorithms_on_large_forests():
+    # the classical linear algorithms share no code with the DPs
+    rng = random.Random(2000)
+    for draw in range(100):
+        n = rng.randint(1, 2000)
+        target = 1 if draw % 2 else rng.randint(1, n)
+        forest = random_forest(n, target, seed=rng.randrange(10**6))
+        if draw % 4 < 2:
+            forest = _relabelled(forest, rng)
+        assert forest.domination_number()[0] == greedy_domination_number(
+            n, forest.edges
+        ), draw
+        assert forest.independence_number()[0] == matching_independence_number(
+            n, forest.edges
+        ), draw
+
+
 # ----------------------------------------------------------------------
 # longest path and the internal dominating set
 
@@ -391,6 +410,12 @@ def test_format_errors():
         from_text("n 3\n0 1 2\n")
     with pytest.raises(CycleDetectedError):
         from_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+
+def test_deeply_nested_json_is_a_format_error():
+    doc = '{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ForestFormatError, match="invalid JSON"):
+        from_text(doc)
 
 
 @pytest.mark.parametrize(

@@ -155,6 +155,16 @@ def test_labeled_count_matches_labeled_walk():
         assert _labeled_count(degrees) == walked, degrees
 
 
+# SHA-256 of repr([tuple(_labeled_edge_sets(d)) for d in _walked_sequences()]),
+# recorded from the union-find walk with an undo log
+LABELED_WALK_SHA256 = "62e5bed5f558dfbb4cfdad2ca529c5a525bd84cb5807bb8bb877080b7d7ac38e"
+
+
+def test_labeled_walk_order_is_pinned():
+    walked = repr([tuple(_labeled_edge_sets(d)) for d in _walked_sequences()])
+    assert hashlib.sha256(walked.encode()).hexdigest() == LABELED_WALK_SHA256
+
+
 def test_labeled_count_gives_cayley_over_tree_sequences():
     for n in range(3, 15):
         trees = [
@@ -206,6 +216,21 @@ def test_iso_classes_match_labeled_walk():
         walked = {canonical_key(n, edges) for edges in _labeled_edge_sets(degrees)}
         assert set(keys) == walked, degrees
     assert list(enumerate_realizations((0, 0, 0), iso_dedup=True)) == [Forest(3)]
+
+
+# unlabelled forests on n vertices, n = 1..12 (OEIS A005195)
+UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601]
+
+
+def test_iso_classes_give_unlabeled_forest_totals():
+    totals = [
+        sum(
+            sum(1 for _ in enumerate_realizations(d, iso_dedup=True))
+            for d in _forest_sequences(n)
+        )
+        for n in range(1, 13)
+    ]
+    assert totals == UNLABELED_FORESTS
 
 
 @pytest.mark.parametrize("degrees", [(2,) * 250 + (1, 1), (1,) * 800])
