@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from .construct import extremal_build
 from .degseq import DegreeSequence, DegreeSequenceError, validate
 from .forest import ForestError, read_forest, write_forest
-from .formulas import extremal_values
+from .formulas import _values, extremal_values
 from .oracle import (
     DEFAULT_SIZE_CAP,
     DEFAULT_SWEEP_MAX_N,
@@ -61,7 +61,7 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 def _sequence_payload(seq: DegreeSequence) -> dict:
     stats = validate(seq)
-    values = extremal_values(seq)
+    values = _values(stats)
     return {
         "sequence": list(seq.degrees),
         "n": stats.n,

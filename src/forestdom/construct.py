@@ -54,20 +54,16 @@ class ExtremalCertificate:
 
 
 def _tree_edges(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Caterpillar tree for positive degrees sorted non-increasing.
+    """Caterpillar tree for degrees sorted non-increasing.
 
     Requires sum(degrees) == 2 * len(degrees) - 2.  Vertices with degree
-    >= 2 form the spine 0, 1, ..., s-1 in order; leaves are labelled
+    >= 2 form the spine 0, 1, ..., s-1 in order, and vertex 0 alone
+    when there are none (a single vertex or edge); leaves are labelled
     s .. n-1 and attached spine-first.  Vertex i ends with degree
     degrees[i] exactly.
     """
     n = len(degrees)
-    if n == 1:
-        return []
-    spine = sum(1 for d in degrees if d >= 2)
-    if spine == 0:
-        # all ones: only the single edge satisfies the degree total
-        return [(0, 1)]
+    spine = max(1, sum(1 for d in degrees if d >= 2))
     edges = [(i, i + 1) for i in range(spine - 1)]
     capacity = []
     for i in range(spine):
@@ -103,13 +99,11 @@ def _matched_edges(
     lowered = tuple(d - 1 for d in degrees[:n1])
     # a zero-free forest has n - sum / 2 components
     edges = _realize_edges(lowered, n1 - sum(lowered) // 2)
-    extra = n - 2 * n1
-    if extra > 0:
-        # subdivide the lexicographically smallest base edge
-        a, b = min(edges)
-        edges.remove((a, b))
-        chain = [a, *range(2 * n1, 2 * n1 + extra), b]
-        edges.extend(zip(chain, chain[1:]))
+    # subdivide the lexicographically smallest base edge n - 2*n1 times
+    a, b = min(edges)
+    edges.remove((a, b))
+    chain = [a, *range(2 * n1, n), b]
+    edges.extend(zip(chain, chain[1:]))
     edges.extend((v, n1 + v) for v in range(n1))
     return edges
 
@@ -117,20 +111,17 @@ def _matched_edges(
 def _all_support_edges(inner: tuple[int, ...]) -> list[tuple[int, int]]:
     """Edges of ``all_support_tree`` whose degree->=2 entries are ``inner``."""
     m = len(inner)
-    if m == 1:
-        e = [0]
-        edges: list[tuple[int, int]] = []
-    else:
-        e = [1] * m
-        need = m - 2
-        for i in range(m):
-            take = min(need, inner[i] - 1 - e[i])
-            e[i] += take
-            need -= take
-            if need == 0:
-                break
-        assert need == 0, "n1 > n_ge2 guarantees enough inner capacity"
-        edges = _tree_edges(tuple(e))
+    # a lone inner vertex starts at need -1, which lowers it to degree 0
+    e = [1] * m
+    need = m - 2
+    for i in range(m):
+        take = min(need, inner[i] - 1 - e[i])
+        e[i] += take
+        need -= take
+        if need == 0:
+            break
+    assert need == 0, "n1 > n_ge2 guarantees enough inner capacity"
+    edges = _tree_edges(tuple(e))
     leaf = m
     for i in range(m):
         for _ in range(inner[i] - e[i]):

@@ -152,8 +152,6 @@ class Forest:
         top-down sweep then sets each vertex's state from its parent's.
         """
         n = self.n
-        if n == 0:
-            return 0, frozenset()
         inf = n + 1
         order, parent, roots = self._rooted()
         # running sums over the children folded in so far; a vertex's
@@ -219,8 +217,6 @@ class Forest:
         when its parent is out and taking it is no worse.
         """
         n = self.n
-        if n == 0:
-            return 0, frozenset()
         order, parent, roots = self._rooted()
         size_in = [1] * n
         size_out = [0] * n

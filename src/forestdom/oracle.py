@@ -223,10 +223,6 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     field = max(full, default=0).bit_length() + 1
     guard = sum(1 << (field * (j + 1) - 1) for j in range(width))
     unit = [1 << (field * (width - 1 - j)) for j in range(width)]
-
-    def within(key: int, part: int) -> bool:
-        return (key | guard) - part & guard == guard
-
     planted_rows: list[list[int]] = [[] for _ in range(width)]
     tree_rows: list[list[int]] = [[] for _ in range(width)]
     planted_keys = []
@@ -234,10 +230,10 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
         size = sum(counts)
         total = sum(m * d for m, d in zip(counts, values))
         key = sum(m * u for m, u in zip(counts, unit))
-        if size and total == 2 * size - 1:
+        if total == 2 * size - 1:
             planted_keys.append((size, key))
             rows = planted_rows
-        elif size and total == 2 * size - 2:
+        elif total == 2 * size - 2:
             rows = tree_rows
         else:
             continue
@@ -250,7 +246,7 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
         every multiset of planted children on the rest of ``key``; a
         planted root has one child fewer than its degree."""
         for j in range(width):
-            if not within(key, unit[j]):
+            if (key | guard) - unit[j] & guard != guard:
                 continue
             rest = key - unit[j]
             if values[j] == 1:
@@ -279,7 +275,8 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
                 trees.append((j, children))
         for half in planted:
             other = key - half
-            if other > half or not within(key, half) or other not in planted:
+            # packed sums never carry, so a planted other holds the rest
+            if other > half or other not in planted:
                 continue
             if other == half:
                 pairs = combinations_with_replacement(planted[half], 2)
@@ -311,16 +308,6 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             yield tuple(edges)
 
 
-def _checked(degrees, cap: int) -> tuple[DegreeSequence, tuple[int, ...]]:
-    seq = as_degree_sequence(degrees)
-    stats = validate(seq)
-    if stats.n - stats.n0 > cap:
-        raise SizeCapExceededError(
-            f"positive part has {stats.n - stats.n0} entries, cap is {cap}"
-        )
-    return seq, seq.degrees
-
-
 def enumerate_realizations(
     degrees: "DegreeSequence | Iterable[int]",
     iso_dedup: bool = False,
@@ -332,11 +319,15 @@ def enumerate_realizations(
     Vertex i has degree ``degrees[i]`` in the non-increasing order of the
     sequence, so zero entries are the trailing, isolated vertices.
     """
-    _, degs = _checked(degrees, cap)
-    n = len(degs)
+    seq = as_degree_sequence(degrees)
+    stats = validate(seq)
+    if stats.n - stats.n0 > cap:
+        raise SizeCapExceededError(
+            f"positive part has {stats.n - stats.n0} entries, cap is {cap}"
+        )
     walk = _iso_edge_sets if iso_dedup else _labeled_edge_sets
-    for edges in walk(degs):
-        yield Forest(n, edges)
+    for edges in walk(seq.degrees):
+        yield Forest(stats.n, edges)
 
 
 def empirical_extremes(
@@ -344,22 +335,19 @@ def empirical_extremes(
 ) -> EnumerationReport:
     """Fold domination/independence extremes over every realization.
 
-    The labelled count comes from ``_labeled_count`` in closed form;
-    statistics and witnesses come from the one forest per isomorphism
+    Statistics and witnesses come from the one forest per isomorphism
     class that ``enumerate_realizations(iso_dedup=True)`` builds, which
     realizes the same extremes because relabelling changes neither
-    number.
+    number; once that walk has validated the sequence, the labelled
+    count comes from ``_labeled_count`` in closed form.
     """
-    seq, degs = _checked(degrees, cap)
-    n = len(degs)
-    labeled = _labeled_count(degs)
+    seq = as_degree_sequence(degrees)
     iso = 0
-    gamma_lo = alpha_lo = n + 1
+    gamma_lo = alpha_lo = len(seq) + 1
     gamma_hi = alpha_hi = -1
     best_gamma = best_alpha = None
-    for edges in _iso_edge_sets(degs):
+    for forest in enumerate_realizations(seq, iso_dedup=True, cap=cap):
         iso += 1
-        forest = Forest(n, edges)
         gamma, _ = forest.domination_number()
         alpha, _ = forest.independence_number()
         if gamma > gamma_hi:
@@ -373,7 +361,7 @@ def empirical_extremes(
     assert best_gamma is not None and best_alpha is not None
     return EnumerationReport(
         sequence=seq,
-        realization_count_labeled=labeled,
+        realization_count_labeled=_labeled_count(seq.degrees),
         realization_count_iso=iso,
         gamma_min=gamma_lo,
         gamma_max=gamma_hi,

@@ -3,8 +3,9 @@
 Deliberately written along different lines than the library: domination
 and independence by subset search, realization enumeration by
 include/exclude over the list of vertex pairs, acyclicity by comparing
-edge and component counts, and isomorphism classes by a canonical
-string per component, rooted at the centres found by trimming leaves.
+edge and component counts, and isomorphism classes and automorphism
+counts by a canonical string per component, rooted at the centres found
+by trimming leaves.
 These are only usable at toy sizes.  For large forests, domination and
 independence also come from the classical linear greedy algorithms,
 over a breadth-first search of their own.
@@ -12,7 +13,9 @@ over a breadth-first search of their own.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from math import factorial, prod
 
 
 def brute_domination_number(n: int, edges) -> int:
@@ -176,32 +179,15 @@ def brute_realizations(degrees):
     yield from decide(0)
 
 
-def canonical_key(n: int, edges) -> str:
-    """Isomorphism-invariant encoding: sorted centre-rooted encodings
-    of the components, one per component."""
+def _centred_trees(n: int, edges):
+    """Adjacency lists and, for each component, its one or two centres,
+    located by trimming leaf layers."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-
-    def encode_rooted(root: int) -> str:
-        # iterative post-order over the component containing root
-        order = []
-        stack = [(root, -1)]
-        while stack:
-            v, par = stack.pop()
-            order.append((v, par))
-            for w in adj[v]:
-                if w != par:
-                    stack.append((w, v))
-        enc: dict[int, str] = {}
-        for v, par in reversed(order):
-            parts = sorted(enc[w] for w in adj[v] if w != par)
-            enc[v] = "(" + "".join(parts) + ")"
-        return enc[root]
-
     seen = [False] * n
-    keys = []
+    centres = []
     for start in range(n):
         if seen[start]:
             continue
@@ -215,7 +201,6 @@ def canonical_key(n: int, edges) -> str:
                     seen[w] = True
                     comp.append(w)
                     queue.append(w)
-        # locate the 1 or 2 centres by trimming leaf layers
         degree = {v: len(adj[v]) for v in comp}
         remaining = set(comp)
         layer = [v for v in comp if degree[v] <= 1]
@@ -230,5 +215,67 @@ def canonical_key(n: int, edges) -> str:
                         if degree[w] <= 1:
                             nxt.append(w)
             layer = nxt
-        keys.append(min(encode_rooted(c) for c in remaining))
+        centres.append(sorted(remaining))
+    return adj, centres
+
+
+def _rooted_code(adj, root: int, away: int) -> tuple[str, int]:
+    """AHU encoding (Aho, Hopcroft and Ullman, 1974) of the subtree at
+    ``root`` on the side away from ``away``, and the number of its
+    automorphisms that fix the root: k! * |Aut(child)|^k for each group
+    of k equal child subtrees, at every vertex."""
+    # iterative post-order over the subtree
+    order = []
+    stack = [(root, away)]
+    while stack:
+        v, par = stack.pop()
+        order.append((v, par))
+        for w in adj[v]:
+            if w != par:
+                stack.append((w, v))
+    enc: dict[int, str] = {}
+    aut: dict[int, int] = {}
+    for v, par in reversed(order):
+        children = [w for w in adj[v] if w != par]
+        parts = sorted(enc[w] for w in children)
+        count = prod(aut[w] for w in children)
+        for copies in Counter(parts).values():
+            count *= factorial(copies)
+        enc[v] = "(" + "".join(parts) + ")"
+        aut[v] = count
+    return enc[root], aut[root]
+
+
+def canonical_key(n: int, edges) -> str:
+    """Isomorphism-invariant encoding: sorted centre-rooted encodings
+    of the components, one per component."""
+    adj, centres = _centred_trees(n, edges)
+    keys = [min(_rooted_code(adj, c, -1)[0] for c in pair) for pair in centres]
     return "|".join(sorted(keys))
+
+
+def aut_count(n: int, edges) -> int:
+    """Order of the automorphism group of a forest.
+
+    Each tree counts its automorphisms fixing its centre, times 2 when
+    it is bicentral with two equal halves; the forest multiplies its
+    trees' counts and k! for each group of k equal trees, isolated
+    vertices included.
+    """
+    adj, centres = _centred_trees(n, edges)
+    count = 1
+    keys = []
+    for pair in centres:
+        if len(pair) == 1:
+            key, aut = _rooted_code(adj, pair[0], -1)
+        else:
+            a, b = pair
+            key_a, aut_a = _rooted_code(adj, a, b)
+            key_b, aut_b = _rooted_code(adj, b, a)
+            key = min(key_a, key_b) + max(key_a, key_b)
+            aut = aut_a * aut_b * (2 if key_a == key_b else 1)
+        count *= aut
+        keys.append(key)
+    for copies in Counter(keys).values():
+        count *= factorial(copies)
+    return count

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
-from forestdom import cli, oracle
+import forestdom
+from forestdom import cli, formulas, oracle
 from forestdom.cli import main
-from forestdom.degseq import DegreeSequence
+from forestdom.degseq import DegreeSequence, validate
 from forestdom.forest import Forest, read_forest
 
 
@@ -22,6 +26,35 @@ def test_eval_human(capsys):
     assert code == 0
     assert err == ""
     assert out == "n=5 n0=0 n1=3 n_ge2=2 c=1 branch=A gamma_max=2 alpha_min=3\n"
+
+
+def test_eval_validates_its_sequence_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(degrees):
+        calls.append(degrees)
+        return validate(degrees)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(formulas, "validate", counting)
+    code, _, _ = run(capsys, ["eval", "3,2,1,1,1"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_module_entry_point_runs_eval():
+    # the package's parent directory, so an uninstalled checkout runs too
+    root = str(Path(forestdom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "forestdom", "eval", "3,2,1,1,1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "n=5 n0=0 n1=3 n_ge2=2 c=1 branch=A gamma_max=2 alpha_min=3\n"
 
 
 def test_eval_json(capsys):
@@ -271,6 +304,15 @@ def test_verify_prints_counts_past_the_digit_limit(capsys, form):
         else:
             assert out.splitlines()[0].endswith(f",1,1 labeled={count} iso=1")
     assert len(count) == 5736
+
+
+def test_verify_prints_counts_without_a_digit_limit(capsys, monkeypatch):
+    # Python 3.10 has no int-to-str digit limit to lift
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    code, out, err = run(capsys, ["verify", "2,2,1,1,1,1,1,1"])
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[0] == "sequence=2,2,1,1,1,1,1,1 labeled=180 iso=2"
 
 
 @pytest.mark.parametrize(

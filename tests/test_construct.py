@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from forestdom import construct
@@ -224,6 +226,36 @@ def test_extremal_build_preconditions():
         extremal_build((1, 1))
     with pytest.raises(PreconditionError):
         extremal_build((2, 2, 1, 1, 0))
+
+
+def _pinned_builder_sequences():
+    """Every sweep_sequences(12) member, stars, all-ones and paths."""
+    sequences = [seq.degrees for seq in sweep_sequences(12)]
+    sequences += [(k,) + (1,) * k for k in range(2, 40)]
+    sequences += [(1,) * n for n in range(2, 41, 2)]
+    sequences += [(2,) * k + (1, 1) for k in range(1, 40)]
+    return sequences
+
+
+# SHA-256 of repr() of: for each _pinned_builder_sequences() member, the
+# edges of realize_any, matched_support_forest and all_support_tree, or
+# the class name of the error each raises.  Recorded from the builders
+# that special-cased one-vertex and all-ones caterpillars, the single
+# inner vertex and an unsubdivided base edge
+BUILDERS_SHA256 = (
+    "89f2c6b80dba902c8eeb8559e54dbe2a4a44d9631bfd5c200c35e50aa68e4777"
+)
+
+
+def test_builder_outputs_are_pinned():
+    outputs = []
+    for degrees in _pinned_builder_sequences():
+        for build in (realize_any, matched_support_forest, all_support_tree):
+            try:
+                outputs.append(build(degrees).edges)
+            except ValueError as error:
+                outputs.append(type(error).__name__)
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == BUILDERS_SHA256
 
 
 # ----------------------------------------------------------------------

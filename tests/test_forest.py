@@ -111,6 +111,11 @@ def test_rejects_bad_labels():
         Forest(3, [(-1, 0)])
 
 
+def test_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        Forest(-1)
+
+
 def test_degree_sequence_and_components():
     forest = Forest(6, [(0, 1), (0, 2), (3, 4)])
     assert forest.degree_sequence() == DegreeSequence((2, 1, 1, 1, 1, 0))
@@ -146,6 +151,11 @@ def test_independence_small_cases():
     assert path(5).independence_number()[0] == 3
     assert star(5).independence_number()[0] == 5
     assert Forest(1).independence_number() == (1, frozenset({0}))
+
+
+def test_solvers_on_the_empty_forest():
+    assert Forest(0).domination_number() == (0, frozenset())
+    assert Forest(0).independence_number() == (0, frozenset())
 
 
 def test_isolated_vertices_count_in_both():
@@ -410,6 +420,11 @@ def test_format_errors():
         from_text("n 3\n0 1 2\n")
     with pytest.raises(CycleDetectedError):
         from_text('{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+
+def test_text_format_names_a_non_integer_token():
+    with pytest.raises(ForestFormatError, match="non-integer token: .*'x'"):
+        from_text("n 3\n0 x\n")
 
 
 def test_deeply_nested_json_is_a_format_error():

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from brute import brute_realizations, canonical_key
+from brute import aut_count, brute_realizations, canonical_key
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
@@ -115,6 +115,35 @@ def test_zero_entries_become_isolated_vertices():
     assert edgeless.witness_gamma_max == edgeless.witness_alpha_min == Forest(3)
 
 
+def _report_fields(report):
+    return (
+        report.sequence.degrees,
+        report.realization_count_labeled,
+        report.realization_count_iso,
+        report.gamma_min,
+        report.gamma_max,
+        report.alpha_min,
+        report.alpha_max,
+        report.witness_gamma_max.edges,
+        report.witness_alpha_min.edges,
+    )
+
+
+# SHA-256 of repr() of every EnumerationReport field, witness edges
+# included, over sweep_sequences(11) and zero-padded members.  Recorded
+# from the fold that repeated enumerate_realizations' cap check and loop
+REPORTS_SHA256 = (
+    "48098c769ee7e48c20864a2560d4dab04b328144a98eb5a595142062f94ae5f4"
+)
+
+
+def test_enumeration_reports_are_pinned():
+    sequences = [seq.degrees for seq in sweep_sequences(11)]
+    sequences += [seq + (0,) * k for seq in sequences[::5] for k in (1, 2)]
+    reports = [_report_fields(empirical_extremes(d)) for d in sequences]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == REPORTS_SHA256
+
+
 # ----------------------------------------------------------------------
 # the closed-form labelled count
 
@@ -218,19 +247,42 @@ def test_iso_classes_match_labeled_walk():
     assert list(enumerate_realizations((0, 0, 0), iso_dedup=True)) == [Forest(3)]
 
 
-# unlabelled forests on n vertices, n = 1..12 (OEIS A005195)
-UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601]
-
-
-def test_iso_classes_give_unlabeled_forest_totals():
-    totals = [
-        sum(
-            sum(1 for _ in enumerate_realizations(d, iso_dedup=True))
-            for d in _forest_sequences(n)
-        )
-        for n in range(1, 13)
+@pytest.fixture(scope="module")
+def iso_classes_to_13():
+    """(n, degrees, edge sets of its iso classes) for every forest
+    sequence of length n <= 13."""
+    return [
+        (n, d, [f.edges for f in enumerate_realizations(d, iso_dedup=True)])
+        for n in range(1, 14)
+        for d in _forest_sequences(n)
     ]
+
+
+# unlabelled forests on n vertices, n = 1..13 (OEIS A005195)
+UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601, 3658]
+
+
+def test_iso_classes_give_unlabeled_forest_totals(iso_classes_to_13):
+    totals = [0] * 13
+    for n, _, classes in iso_classes_to_13:
+        totals[n - 1] += len(classes)
     assert totals == UNLABELED_FORESTS
+
+
+def test_iso_class_orbits_give_labeled_counts(iso_classes_to_13):
+    # orbit-stabilizer: permuting labels within each degree (prod m_k!
+    # ways) meets each labelled forest of class F |Aut(F)| times, and
+    # the classes' orbits together are every labelled realization
+    for n, degrees, classes in iso_classes_to_13:
+        labellings = 1
+        for copies in Counter(degrees).values():
+            labellings *= factorial(copies)
+        total = 0
+        for edges in classes:
+            orbit, rest = divmod(labellings, aut_count(n, edges))
+            assert rest == 0, (degrees, edges)
+            total += orbit
+        assert total == _labeled_count(degrees), degrees
 
 
 @pytest.mark.parametrize("degrees", [(2,) * 250 + (1, 1), (1,) * 800])
