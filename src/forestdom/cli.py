@@ -7,11 +7,13 @@ Exit codes: 0 success, 1 invalid input, 2 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from typing import Callable
 
 from .construct import extremal_build
 from .degseq import DegreeSequence, DegreeSequenceError, validate
@@ -51,11 +53,13 @@ def _exact_ints():
         sys.set_int_max_str_digits(saved)
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
+def _emit(args, payload: dict, human: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or else the lines ``human()`` builds;
+    they are built only when they are printed."""
     if args.json:
         print(json.dumps(payload))
     else:
-        for line in human:
+        for line in human():
             print(line)
 
 
@@ -81,7 +85,7 @@ def cmd_eval(args) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             "n={n} n0={n0} n1={n1} n_ge2={n_ge2} c={c} branch={branch} "
             "gamma_max={gamma_max} alpha_min={alpha_min}".format(**payload)
         ],
@@ -110,7 +114,7 @@ def cmd_build(args) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"wrote {args.out}",
             f"gamma={cert.gamma} expected={cert.expected_gamma_max}",
             f"alpha={cert.alpha} expected={cert.expected_alpha_min}",
@@ -140,11 +144,11 @@ def cmd_solve(args) -> int:
     _emit(
         args,
         payload,
-        [
+        lambda: [
             f"n={forest.n} edges={len(forest.edges)}",
             f"degree_sequence={seq}",
-            f"gamma={gamma} witness={sorted(gamma_set)}",
-            f"alpha={alpha} witness={sorted(alpha_set)}",
+            f"gamma={gamma} witness={payload['gamma_witness']}",
+            f"alpha={alpha} witness={payload['alpha_witness']}",
             f"gamma_max={values.gamma_max} alpha_min={values.alpha_min}",
         ],
     )
@@ -205,7 +209,7 @@ def cmd_verify(args) -> int:
     seq = DegreeSequence.parse(args.sequence)
     payload = _verify_payload(seq.degrees, cap)
     with _exact_ints():
-        _emit(args, payload, _verify_lines(payload))
+        _emit(args, payload, lambda: _verify_lines(payload))
     return EXIT_OK if payload["match"] else EXIT_MISMATCH
 
 
@@ -273,19 +277,27 @@ def cmd_swap_search(args) -> int:
         "restarts": args.restarts,
         "seed": args.seed,
     }
-    human = [
-        f"gamma_found={gamma} gamma_max={values.gamma_max} "
-        f"attained={str(gamma == values.gamma_max).lower()}"
-    ]
     if args.out:
         payload["out"] = args.out
-        human.append(f"wrote {args.out}")
-    _emit(args, payload, human)
+    _emit(
+        args,
+        payload,
+        lambda: [
+            f"gamma_found={gamma} gamma_max={values.gamma_max} "
+            f"attained={str(payload['attained']).lower()}"
+        ]
+        + ([f"wrote {args.out}"] if args.out else []),
+    )
     # exceeding the proven maximum would mean a defect somewhere
     return EXIT_OK if gamma <= values.gamma_max else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by
+    every ``main`` call.  It holds no handlers and no state from a parse:
+    ``main`` looks the handler up by name, and each parse fills a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="forestdom",
         description=(
@@ -295,34 +307,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(func=func)
         return p
 
-    p = add("eval", cmd_eval, "evaluate the closed forms for a sequence")
+    p = add("eval", "evaluate the closed forms for a sequence")
     p.add_argument("sequence", help="degrees, e.g. '3,2,1,1,1' or '3 2 1 1 1'")
 
-    p = add("build", cmd_build, "build a realization attaining both extremes")
+    p = add("build", "build a realization attaining both extremes")
     p.add_argument("sequence")
     p.add_argument("out", help="output forest file (JSON format)")
 
-    p = add("solve", cmd_solve, "solve an existing forest file exactly")
+    p = add("solve", "solve an existing forest file exactly")
     p.add_argument("path")
 
-    p = add("verify", cmd_verify, "compare formulas against full enumeration")
+    p = add("verify", "compare formulas against full enumeration")
     p.add_argument("sequence")
     p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
 
-    p = add("sweep", cmd_sweep, "verify every admissible sequence up to max-n")
+    p = add("sweep", "verify every admissible sequence up to max-n")
     p.add_argument("--max-n", type=int, default=DEFAULT_SWEEP_MAX_N)
     p.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     p.add_argument(
         "--parallel", type=int, default=1, help="worker processes (capped at CPU count)"
     )
 
-    p = add("swap-search", cmd_swap_search, "heuristic hill-climb on gamma")
+    p = add("swap-search", "heuristic hill-climb on gamma")
     p.add_argument("sequence")
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -333,8 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a handler rebound on the module still runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except SizeCapExceededError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CAP

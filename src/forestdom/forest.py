@@ -35,7 +35,7 @@ class CycleDetectedError(ForestError):
 
 
 class LabelOutOfRangeError(ForestError):
-    """An endpoint is not in 0 .. n-1."""
+    """An endpoint is not an ``int`` in 0 .. n-1."""
 
 
 class NotConnectedError(ForestError):
@@ -50,16 +50,23 @@ class Forest:
     """A simple acyclic undirected graph, held as a value object.
 
     ``edges`` is normalized to smaller-endpoint-first pairs in
-    lexicographic order; ``adj[v]`` lists neighbours ascending.
+    lexicographic order; ``adj[v]`` lists neighbours ascending.  The
+    vertex count and every endpoint must be of type ``int`` exactly:
+    floats, bools and other look-alikes are rejected, not coerced.
     """
 
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
+        # type() rather than isinstance(): bool is a subclass of int
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         normalized = []
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise LabelOutOfRangeError(f"edge ({u!r}, {v!r}) has a non-int label")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise LabelOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
@@ -332,7 +339,8 @@ class Forest:
 
     def to_json(self) -> str:
         """Canonical single-line JSON document; stable across round trips."""
-        return json.dumps({"n": self.n, "edges": [[u, v] for u, v in self.edges]})
+        # json writes tuples as arrays, so the edges need no list copy
+        return json.dumps({"n": self.n, "edges": self.edges})
 
     def to_edge_text(self) -> str:
         """Plain text form: a header line ``n <count>`` then one edge per line."""

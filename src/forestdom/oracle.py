@@ -226,18 +226,23 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     planted_rows: list[list[int]] = [[] for _ in range(width)]
     tree_rows: list[list[int]] = [[] for _ in range(width)]
     planted_keys = []
-    for counts in product(*(range(m + 1) for m in full)):
-        size = sum(counts)
-        total = sum(m * d for m, d in zip(counts, values))
-        key = sum(m * u for m, u in zip(counts, unit))
-        if total == 2 * size - 1:
-            planted_keys.append((size, key))
-            rows = planted_rows
-        elif total == 2 * size - 2:
-            rows = tree_rows
-        else:
-            continue
-        rows[next(j for j, m in enumerate(counts) if m)].append(key)
+    # A tree has n1 = 2 + sum (d - 2) leaves over its inner vertices (the
+    # leaf identity n1 = 2c + sum (d - 2) at c = 1), and a planted tree
+    # one fewer.  So each vector of inner counts, with excess sum (d - 2),
+    # has one planted multiset (excess + 1 ones) and one tree multiset
+    # (excess + 2 ones): no other number of ones gives a total of 2|S| - 1
+    # or 2|S| - 2.  Both fit, as the whole sequence has 2c plus the full
+    # excess ones.  Ones, when present, are the last field; the all-zero
+    # sequence has no field and no multisets, only the empty forest.
+    if width:
+        ones = unit[-1]
+        for counts in product(*(range(m + 1) for m in full[:-1])):
+            excess = sum(m * (d - 2) for m, d in zip(counts, values))
+            key = sum(m * u for m, u in zip(counts, unit)) + (excess + 1) * ones
+            row = next((j for j, m in enumerate(counts) if m), width - 1)
+            planted_keys.append((sum(counts) + excess + 1, key))
+            planted_rows[row].append(key)
+            tree_rows[row].append(key + ones)
     for row in planted_rows + tree_rows:
         row.sort(reverse=True)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -469,3 +470,164 @@ def test_keyboard_interrupt_exits_130(capsys, monkeypatch):
     assert code == 130
     assert out == ""
     assert err == "interrupted\n"
+
+
+# Help and usage text at a fixed width of 80 columns: sharing one parser
+# across calls must not change a byte of it.
+HELP_80 = {
+    (): """\
+usage: forestdom [-h] {eval,build,solve,verify,sweep,swap-search} ...
+
+Extremes of domination and independence numbers over all forests with a given
+degree sequence.
+
+positional arguments:
+  {eval,build,solve,verify,sweep,swap-search}
+    eval                evaluate the closed forms for a sequence
+    build               build a realization attaining both extremes
+    solve               solve an existing forest file exactly
+    verify              compare formulas against full enumeration
+    sweep               verify every admissible sequence up to max-n
+    swap-search         heuristic hill-climb on gamma
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("eval",): """\
+usage: forestdom eval [-h] [--json] sequence
+
+positional arguments:
+  sequence    degrees, e.g. '3,2,1,1,1' or '3 2 1 1 1'
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+""",
+    ("build",): """\
+usage: forestdom build [-h] [--json] sequence out
+
+positional arguments:
+  sequence
+  out         output forest file (JSON format)
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+""",
+    ("solve",): """\
+usage: forestdom solve [-h] [--json] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+""",
+    ("verify",): """\
+usage: forestdom verify [-h] [--json] [--cap CAP] sequence
+
+positional arguments:
+  sequence
+
+options:
+  -h, --help  show this help message and exit
+  --json      machine-readable output
+  --cap CAP
+""",
+    ("sweep",): """\
+usage: forestdom sweep [-h] [--json] [--max-n MAX_N] [--cap CAP]
+                       [--parallel PARALLEL]
+
+options:
+  -h, --help           show this help message and exit
+  --json               machine-readable output
+  --max-n MAX_N
+  --cap CAP
+  --parallel PARALLEL  worker processes (capped at CPU count)
+""",
+    ("swap-search",): """\
+usage: forestdom swap-search [-h] [--json] [--restarts RESTARTS] [--seed SEED]
+                             [--out OUT]
+                             sequence
+
+positional arguments:
+  sequence
+
+options:
+  -h, --help           show this help message and exit
+  --json               machine-readable output
+  --restarts RESTARTS
+  --seed SEED
+  --out OUT            write the best forest here
+""",
+}
+USAGE_ERROR_80 = """\
+usage: forestdom [-h] {eval,build,solve,verify,sweep,swap-search} ...
+forestdom: error: the following arguments are required: command
+"""
+
+
+@pytest.mark.parametrize("command", list(HELP_80), ids=lambda c: " ".join(c) or "top")
+def test_help_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([*command, "--help"])
+    assert stop.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out == HELP_80[command]
+    assert captured.err == ""
+
+
+def test_usage_error_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        main([])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == USAGE_ERROR_80
+
+
+def test_second_call_builds_no_parser(capsys, monkeypatch):
+    run(capsys, ["eval", "2,1,1"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    code, out, _ = run(capsys, ["eval", "2,1,1"])
+    assert code == 0
+    assert out == "n=3 n0=0 n1=2 n_ge2=1 c=1 branch=A gamma_max=1 alpha_min=2\n"
+    assert built == []
+
+
+def test_nothing_carries_over_between_calls(capsys):
+    code, out, _ = run(capsys, ["eval", "3,2,1,1,1", "--json"])
+    assert code == 0
+    assert json.loads(out)["gamma_max"] == 2
+    code, out, _ = run(capsys, ["eval", "3,2,1,1,1"])
+    assert code == 0
+    assert out == "n=5 n0=0 n1=3 n_ge2=2 c=1 branch=A gamma_max=2 alpha_min=3\n"
+    # an option's value is not the next call's default
+    code, _, _ = run(capsys, ["verify", "2,1,1", "--cap", "0"])
+    assert code == 3
+    code, _, _ = run(capsys, ["verify", "2,1,1"])
+    assert code == 0
+
+
+def test_solve_json_builds_no_human_lines(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(Forest(5, [(0, 1), (1, 2), (2, 3), (3, 4)]).to_json())
+
+    def refuse(self):
+        raise AssertionError("a human line was built for --json")
+
+    monkeypatch.setattr(DegreeSequence, "__str__", refuse)
+    code, out, err = run(capsys, ["solve", str(path), "--json"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["degree_sequence"] == [2, 2, 2, 1, 1]

@@ -111,6 +111,27 @@ def test_rejects_bad_labels():
         Forest(3, [(-1, 0)])
 
 
+@pytest.mark.parametrize("edge", [(0, 1.0), (True, 2), (0, "1"), (None, 1)])
+def test_rejects_non_int_labels(edge):
+    # type() rather than isinstance(): a bool label would be written out
+    # as JSON true, which from_json rejects
+    with pytest.raises(LabelOutOfRangeError, match="non-int label"):
+        Forest(3, [(0, 1), edge])
+
+
+def test_names_the_first_bad_edge_in_input_order():
+    with pytest.raises(LabelOutOfRangeError, match=r"edge \(0, 5\) outside"):
+        Forest(3, [(0, 1), (0, 5), (1, 2.0)])
+    with pytest.raises(LabelOutOfRangeError, match=r"edge \(1, 2\.0\) has"):
+        Forest(3, [(0, 1), (1, 2.0), (0, 5)])
+
+
+@pytest.mark.parametrize("n", [True, 3.0, "3", None])
+def test_rejects_non_int_vertex_count(n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Forest(n)
+
+
 def test_rejects_negative_vertex_count():
     with pytest.raises(ValueError, match="non-negative, got -1"):
         Forest(-1)

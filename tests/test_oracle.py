@@ -258,6 +258,18 @@ def iso_classes_to_13():
     ]
 
 
+# the iso stream itself: every class's edges, in yield order, for the
+# 1,097 sequences and 6,606 classes of the fixture
+ISO_CLASSES_SHA256 = "f4bd9aebf50cb275a4a72b5b280e8ea5211d2dd35fe85d296069cb68c863b1e3"
+
+
+def test_iso_classes_are_pinned(iso_classes_to_13):
+    assert len(iso_classes_to_13) == 1097
+    assert sum(len(classes) for _, _, classes in iso_classes_to_13) == 6606
+    digest = hashlib.sha256(repr(iso_classes_to_13).encode()).hexdigest()
+    assert digest == ISO_CLASSES_SHA256
+
+
 # unlabelled forests on n vertices, n = 1..13 (OEIS A005195)
 UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601, 3658]
 
