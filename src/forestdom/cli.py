@@ -11,7 +11,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Callable
 
@@ -195,6 +194,15 @@ def _checked_cap(cap: int) -> int:
     if cap < 0:
         raise ValueError(f"--cap must be non-negative, got {cap}")
     return cap
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """The pool ``sweep --parallel`` runs on.  ``concurrent.futures`` and
+    the multiprocessing stack under it are imported here, on the first
+    pool, so a process that never starts one does not load them."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(*args, **kwargs)
 
 
 def _worker_count(requested: int) -> int:

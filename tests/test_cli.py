@@ -58,6 +58,25 @@ def test_module_entry_point_runs_eval():
     assert done.stdout == "n=5 n0=0 n1=3 n_ge2=2 c=1 branch=A gamma_max=2 alpha_min=3\n"
 
 
+def test_serial_commands_leave_the_process_pool_unimported():
+    root = str(Path(forestdom.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = """
+import contextlib, io, sys
+import forestdom.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert forestdom.cli.main(["eval", "3,2,1,1,1"]) == 0
+    assert forestdom.cli.main(["sweep", "--max-n", "5"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing")))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_eval_json(capsys):
     code, out, _ = run(capsys, ["eval", "--json", "3 2 1 1 1"])
     assert code == 0
@@ -399,6 +418,46 @@ def test_sweep_json_parallel(capsys):
     assert payload["mismatches"] == 0
     assert len(payload["results"]) == 7
     assert all(r["match"] for r in payload["results"])
+
+
+def test_sweep_parallel_starts_its_pool_through_the_module(capsys, monkeypatch):
+    started = []
+
+    class SerialPool:
+        """Maps in this process and records the worker count it was given."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    argv = ["sweep", "--json", "--max-n", "6"]
+    code, serial, _ = run(capsys, argv)
+    assert code == 0
+    assert started == []
+    code, parallel, _ = run(capsys, [*argv, "--parallel", "2"])
+    assert code == 0
+    assert parallel == serial
+    assert started == [cli._worker_count(2)] == [2]
+
+
+def test_sweep_parallel_one_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(capsys, ["sweep", "--max-n", "5", "--parallel", "1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "checked 7 sequences, 0 mismatches"
 
 
 def test_swap_search(capsys, tmp_path):
