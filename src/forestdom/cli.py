@@ -359,7 +359,10 @@ def main(argv=None) -> int:
     except SizeCapExceededError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (DegreeSequenceError, ForestError, OSError, ValueError) as exc:
+    # the last two: CPython's size checks refuse an oversize vertex count
+    except (
+        DegreeSequenceError, ForestError, OSError, ValueError, OverflowError, MemoryError
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except KeyboardInterrupt:

@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .construct import realize_any
@@ -101,43 +101,39 @@ def _labeled_edge_sets(
 def _labeled_count(degrees: tuple[int, ...]) -> int:
     """Number of labelled forests where vertex i has degree degrees[i].
 
-    ``degrees`` must be a validated forest sequence.  A labelled tree on
-    a vertex set B with degrees d_v has (|B|-2)! / prod (d_v - 1)!
-    Prufer codes (Moon, *Counting Labelled Trees*, 1970), so the forests
-    are the splits of the positive entries into tree blocks B with
-    sum d = 2|B| - 2, weighted by that product.  Vertices of equal degree
-    are interchangeable, so the count folds up over the number of trees
-    c: a c-tree forest on inner multiplicities m has 2c + sum m (d - 2)
-    leaves, and removing the block that holds one fixed leaf, its other
-    members chosen by binomials, leaves a (c-1)-tree forest.  Zero
-    entries are isolated vertices; the empty forest counts 1.
+    ``degrees`` must be a validated forest sequence.  By Prufer codes
+    (Moon, *Counting Labelled Trees*, 1970), the forests on the n
+    positive entries rooted at a c-set R, one root per tree, with k_v
+    children at v, number (n-c-1)! sum_{r in R} k_r / prod k_v!: a code
+    of length n - c that ends in R and holds v k_v times.  Weight root
+    s by 2 - d_s.  A tree has |T| - 1 edges, so its weights add up to
+    2, and the sum over all c-sets R counts each forest 2^c times.  With
+    j_k roots among the m_k vertices of degree v_k, sum j_k = c,
+
+        count = (n-c-1)! / (2^c prod d_v!) * sum_j (sum_k j_k v_k)
+                * prod_k C(m_k, j_k) (2 - v_k)^j_k v_k^(m_k - j_k).
+
+    Degree 2 weighs 0, so its j is 0 and its 2^m cancels its 2!^m;
+    leaves take the roots that degrees >= 3 leave over.  Zero entries
+    are isolated vertices; the empty forest counts 1.
     """
-    tally = Counter(d for d in degrees if d > 1)
-    inner = sorted(tally)
-    full = tuple(tally[d] for d in inner)
-    trees = (degrees.count(1) - sum(m * (d - 2) for m, d in zip(full, inner))) // 2
-    # level c: multiplicities -> number of c-tree forests on them; level 0
-    # holds the empty forest alone, every later level each vector
-    level = {(0,) * len(inner): 1}
-    for c in range(1, trees + 1):
-        counts = {}
-        for left in product(*(range(m + 1) for m in full)) if c < trees else [full]:
-            leaves = 2 * c + sum(m * (d - 2) for m, d in zip(left, inner))
-            total = 0
-            for take in product(*(range(m + 1) for m in left)):
-                rest = level.get(tuple(m - j for m, j in zip(left, take)))
-                if rest is None:
-                    continue
-                # a tree has 2 + sum (d - 2) leaves over its inner vertices
-                block_leaves = 2 + sum(j * (d - 2) for j, d in zip(take, inner))
-                size = block_leaves + sum(take)
-                ways = factorial(size - 2) * comb(leaves - 1, block_leaves - 1)
-                for j, d, m in zip(take, inner, left):
-                    ways = ways * comb(m, j) // factorial(d - 1) ** j
-                total += ways * rest
-            counts[left] = total
-        level = counts
-    return level[full]
+    tally = Counter(d for d in degrees if d)
+    if not tally:
+        return 1
+    n = sum(tally.values())
+    trees = n - sum(degrees) // 2
+    inner = [d for d in tally if d > 2]
+    total = 0
+    for picks in product(*(range(tally[d] + 1) for d in inner)):
+        leaves = trees - sum(picks)
+        if leaves >= 0:
+            term = leaves + sum(j * d for j, d in zip(picks, inner))
+            term *= comb(tally[1], leaves)
+            for j, d in zip(picks, inner):
+                term *= comb(tally[d], j) * (2 - d) ** j * d ** (tally[d] - j)
+            total += term
+    scale = 2**trees * prod(factorial(d) ** tally[d] for d in inner)
+    return factorial(n - trees - 1) * total // scale
 
 
 # A planted tree is a rooted tree whose root also has a parent outside

@@ -224,6 +224,25 @@ def test_solve_deeply_nested_json(capsys, tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, text, kind",
+    [
+        ("huge.txt", "n 1000000000000000000000000000000\n", "OverflowError"),
+        ("huge.json", '{"n": 4611686018427387904, "edges": []}', "MemoryError"),
+    ],
+    ids=["text", "json"],
+)
+def test_solve_oversize_vertex_count(capsys, tmp_path, name, text, kind):
+    # both counts fail CPython's size checks before any memory is taken
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {kind}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_verify_match(capsys):
     code, out, _ = run(capsys, ["verify", "--json", "2,2,1,1,1,1,1,1"])
     assert code == 0

@@ -2,7 +2,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -217,14 +217,36 @@ def test_labeled_count_gives_labeled_forest_totals():
     assert totals == LABELED_FORESTS
 
 
-# recorded from the memoized top-down count; each has 7 to 18 trees and
-# several inner degrees, far past what the labelled walk can check
+def test_labeled_count_gives_cayley_recurrence_totals():
+    # f(n) = sum_k C(n-1, k-1) k^(k-2) f(n-k): the tree that holds vertex
+    # 1 has k vertices (OEIS A001858), with k^(k-2) = 1 at k = 1
+    forests = [1]
+    for n in range(1, 17):
+        forests.append(
+            sum(
+                comb(n - 1, k - 1) * k ** max(k - 2, 0) * forests[n - k]
+                for k in range(1, n + 1)
+            )
+        )
+    assert forests[1:12] == LABELED_FORESTS
+    for n in range(1, 17):
+        total = sum(_label_assignments(d) * _labeled_count(d) for d in _forest_sequences(n))
+        assert total == forests[n], n
+
+
+# recorded from the memoized top-down count, the last from the per-tree
+# level fold; each has 7 to 18 trees and several inner degrees, far past
+# what the labelled walk can check
 @pytest.mark.parametrize(
     "degrees, count",
     [
         ((3,) * 12 + (2,) * 10 + (1,) * 26, 404504670189546381528377565789292756992000000000),
         ((5, 3, 3, 2, 2, 2) + (1,) * 41, 9056665689178202580570866480700000),
         ((4, 4, 3, 3, 2, 2, 2) + (1,) * 30, 171949995315417550631400000),
+        (
+            (7, 6, 5, 5, 4, 4, 4, 3, 3, 3, 3) + (2,) * 3 + (1,) * 45,
+            50415247154230861114098651669619964857771972064256000000,
+        ),
     ],
 )
 def test_labeled_count_pinned_on_multi_tree_sequences(degrees, count):
@@ -295,6 +317,18 @@ def test_iso_class_orbits_give_labeled_counts(iso_classes_to_13):
             assert rest == 0, (degrees, edges)
             total += orbit
         assert total == _labeled_count(degrees), degrees
+
+
+def test_gamma_and_alpha_take_every_value_between_their_extremes(iso_classes_to_13):
+    # observed on every sequence here, not a theorem: the paper proves
+    # the end points only
+    for n, degrees, classes in iso_classes_to_13:
+        forests = [Forest(n, edges) for edges in classes]
+        for values in (
+            {forest.domination_number()[0] for forest in forests},
+            {forest.independence_number()[0] for forest in forests},
+        ):
+            assert values == set(range(min(values), max(values) + 1)), degrees
 
 
 @pytest.mark.parametrize("degrees", [(2,) * 250 + (1, 1), (1,) * 800])
