@@ -363,7 +363,10 @@ def main(argv=None) -> int:
     except (
         DegreeSequenceError, ForestError, OSError, ValueError, OverflowError, MemoryError
     ) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        reason = str(exc)
+        if not reason and isinstance(exc, MemoryError):
+            reason = "out of memory"  # CPython's own MemoryError has no text
+        print(f"error: {type(exc).__name__}: {reason}", file=sys.stderr)
         return EXIT_INPUT
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -183,10 +183,11 @@ def _groupings(
                 copies += 1
 
 
-def _picks(groups, memo) -> Iterator[tuple]:
-    """One tree per part: a multiset of ``copies`` trees from each group."""
+def _picks(groups) -> Iterator[tuple]:
+    """One tree per part: a multiset of ``copies`` trees from each
+    ``(trees, copies)`` group."""
     for chosen in product(
-        *(combinations_with_replacement(memo[part], copies) for part, copies in groups)
+        *(combinations_with_replacement(trees, copies) for trees, copies in groups)
     ):
         yield tuple(chain.from_iterable(chosen))
 
@@ -207,6 +208,17 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     choose their trees as combinations with replacement, so no two
     choices give isomorphic forests.  Vertices of one degree take
     consecutive labels, from where that degree starts in ``degrees``.
+
+    Only planted trees that some yielded tree can use are built.  With c
+    trees on n positive entries, no tree has more than L = n - 2(c - 1)
+    vertices, and a planted tree of size s and height h inside a
+    centre-rooted tree T has s + h + 1 <= |T| <= L, as the tallest
+    other child of the centre, or the other half, is at least as tall.
+    So a root of size s takes children no taller than L - 2 - s, a
+    centre takes them no taller than (|T| - 3) / 2, and a split is
+    expanded only if each part has a tree under the cap and some height
+    can hold two of the centre's children.  These cuts drop only trees
+    that no yielded forest holds, so the yield order is unchanged.
     """
     values = sorted({d for d in degrees if d > 0}, reverse=True)
     width = len(values)
@@ -222,6 +234,7 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     planted_rows: list[list[int]] = [[] for _ in range(width)]
     tree_rows: list[list[int]] = [[] for _ in range(width)]
     planted_keys = []
+    tree_sizes = {}
     # A tree has n1 = 2 + sum (d - 2) leaves over its inner vertices (the
     # leaf identity n1 = 2c + sum (d - 2) at c = 1), and a planted tree
     # one fewer.  So each vector of inner counts, with excess sum (d - 2),
@@ -237,15 +250,52 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             key = sum(m * u for m, u in zip(counts, unit)) + (excess + 1) * ones
             row = next((j for j, m in enumerate(counts) if m), width - 1)
             planted_keys.append((sum(counts) + excess + 1, key))
+            tree_sizes[key + ones] = sum(counts) + excess + 2
             planted_rows[row].append(key)
             tree_rows[row].append(key + ones)
     for row in planted_rows + tree_rows:
         row.sort(reverse=True)
 
-    def rooted(key: int, planted_root: bool) -> Iterator[tuple[int, tuple]]:
+    whole = sum(m * u for m, u in zip(full, unit))
+    components = sum(full) - sum(m * d for m, d in zip(full, values)) // 2
+    limit = sum(full) - 2 * (components - 1)  # L: other trees take 2 or more
+    planted: dict[int, list[_Planted]] = {}
+    heights: dict[int, int] = {}  # bit h is set when planted[key] has height h
+
+    def usable(cap: int) -> list[list[int]]:
+        """``planted_rows`` cut to the built keys with a tree of height
+        at most ``cap``."""
+        low = (2 << cap) - 1
+        return [[k for k in row if heights.get(k, 0) & low] for row in planted_rows]
+
+    def fit(part: int, cap: int) -> list[_Planted]:
+        """``planted[part]`` cut, in order, to its trees of height at most
+        ``cap``."""
+        trees = planted[part]
+        if heights[part] >> (cap + 1):
+            trees = [p for p in trees if p[0] <= cap]
+        return trees
+
+    def centre_height(groups: tuple, cap: int) -> int:
+        """The tallest t <= cap at which every part has a tree no taller
+        than t and two children can stand at height t, else -1."""
+        # as height bitmasks: heights some part has, heights two children
+        # can take, and the highest of the parts' lowest heights
+        once = twice = floor = 0
+        for part, copies in groups:
+            bits = heights[part]
+            twice |= once & bits | (bits if copies > 1 else 0)
+            once |= bits
+            floor = max(floor, bits & -bits)
+        return (twice & ((2 << cap) - 1) & -floor).bit_length() - 1
+
+    def rooted(
+        key: int, planted_root: bool, rows: list[list[int]], cap: int
+    ) -> Iterator[tuple[int, tuple]]:
         """(root degree index, children) for every root in ``key`` and
-        every multiset of planted children on the rest of ``key``; a
-        planted root has one child fewer than its degree."""
+        every multiset of planted children of height at most ``cap`` on
+        the rest of ``key``; a planted root has one child fewer than its
+        degree."""
         for j in range(width):
             if (key | guard) - unit[j] & guard != guard:
                 continue
@@ -255,25 +305,52 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
                     yield j, ()
                 continue
             parts = values[j] - 1 if planted_root else values[j]
-            for groups in _groupings(rest, parts, planted_rows, field, guard):
-                for children in _picks(groups, planted):
-                    yield j, children
+            for groups in _groupings(rest, parts, rows, field, guard):
+                top = cap if planted_root else centre_height(groups, cap)
+                if top >= 0:
+                    fitted = [(fit(part, top), copies) for part, copies in groups]
+                    for children in _picks(fitted):
+                        yield j, children
 
-    # bottom up by size: a part is always smaller than the multiset it splits
-    planted: dict[int, list[_Planted]] = {}
-    for _, key in sorted(planted_keys):
-        planted[key] = [
+    # Bottom up by size: a part is always smaller than the multiset it
+    # splits.  A subtree of size s' and height h' of a planted tree has
+    # s' + h' <= s + h - 2, so the cap s + h + 1 <= limit holds all the
+    # way down.  Below half the limit the children's cap binds no part of
+    # size s - 1 or less, so every key built so far is usable and the
+    # later ones are too big to be parts.
+    rows, rows_size = planted_rows, 0
+    for s, key in sorted(planted_keys):
+        cap = limit - 2 - s
+        if s > 1 and cap < 0:
+            break  # past the leaf, every planted root has a child
+        if 2 * s > limit and s != rows_size:
+            rows, rows_size = usable(cap), s
+        trees = [
             (1 + max(c[0] for c in children) if children else 0, j, children)
-            for j, children in rooted(key, True)
+            for j, children in rooted(key, True, rows, cap)
         ]
+        if trees:
+            planted[key] = trees
+            heights[key] = 0
+            for p in trees:
+                heights[key] |= 1 << p[0]
 
-    def free_trees(key: int) -> list[tuple[int, tuple]]:
-        """Centre-rooted trees on ``key`` as (root degree index, children)."""
+    centre_rows: dict[int, list[list[int]]] = {}
+
+    def free_trees(key: int, size: int) -> list[tuple[int, tuple]]:
+        """Centre-rooted trees on ``key`` as (root degree index, children).
+
+        Two children of height t and the centre take 2t + 3 <= size
+        vertices."""
+        cap = (size - 3) // 2
         trees = []
-        for j, children in rooted(key, False):
-            tallest = max(c[0] for c in children)
-            if sum(1 for c in children if c[0] == tallest) >= 2:
-                trees.append((j, children))
+        if cap >= 0:
+            if cap not in centre_rows:
+                centre_rows[cap] = usable(cap)
+            for j, children in rooted(key, False, centre_rows[cap], cap):
+                tallest = max(c[0] for c in children)
+                if sum(1 for c in children if c[0] == tallest) >= 2:
+                    trees.append((j, children))
         for half in planted:
             other = key - half
             # packed sums never carry, so a planted other holds the rest
@@ -287,13 +364,11 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
         return trees
 
     tree_memo: dict[int, list[tuple[int, tuple]]] = {}
-    whole = sum(m * u for m, u in zip(full, unit))
-    components = sum(full) - sum(m * d for m, d in zip(full, values)) // 2
     for groups in _groupings(whole, components, tree_rows, field, guard):
         for part, _ in groups:
             if part not in tree_memo:
-                tree_memo[part] = free_trees(part)
-        for forest in _picks(groups, tree_memo):
+                tree_memo[part] = free_trees(part, tree_sizes[part])
+        for forest in _picks([(tree_memo[part], copies) for part, copies in groups]):
             label = list(first_label)
             edges = []
             for j, children in forest:

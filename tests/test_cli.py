@@ -243,6 +243,14 @@ def test_solve_oversize_vertex_count(capsys, tmp_path, name, text, kind):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_textless_memory_error_says_out_of_memory(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 4611686018427387904, "edges": []}')
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert code == 1
+    assert err == "error: MemoryError: out of memory\n"
+
+
 def test_verify_match(capsys):
     code, out, _ = run(capsys, ["verify", "--json", "2,2,1,1,1,1,1,1"])
     assert code == 0

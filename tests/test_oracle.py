@@ -10,7 +10,7 @@ from brute import aut_count, brute_realizations, canonical_key
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
-from forestdom.forest import Forest
+from forestdom.forest import Forest, ForestError
 from forestdom import oracle
 from forestdom.oracle import (
     DEFAULT_SIZE_CAP,
@@ -18,6 +18,7 @@ from forestdom.oracle import (
     _apply_move,
     _edge_mask,
     _forest_value,
+    _iso_edge_sets,
     _labeled_count,
     _labeled_edge_sets,
     _plan,
@@ -292,6 +293,25 @@ def test_iso_classes_are_pinned(iso_classes_to_13):
     assert digest == ISO_CLASSES_SHA256
 
 
+# the iso stream past the fixture, where the planted-tree caps bind
+# hardest: every class's edges, in yield order, for the 159 sweep
+# sequences of length 14 and three longer ones
+ISO_CLASSES_PAST_13_SHA256 = (
+    "583744360fd4b8f45aed8411adb3538b189a6a12ac4f6e3c822aa46fae96b966"
+)
+
+
+def test_iso_classes_past_thirteen_are_pinned():
+    inputs = [seq.degrees for seq in sweep_sequences(14) if len(seq) == 14]
+    assert len(inputs) == 159
+    inputs += [(3,) * 6 + (2,) * 4 + (1,) * 8, (4,) + (2,) * 14 + (1,) * 4]
+    inputs += [(6,) + (2,) * 12 + (1,) * 8]
+    streams = [list(_iso_edge_sets(degrees)) for degrees in inputs]
+    assert sum(len(classes) for classes in streams) == 6923
+    digest = hashlib.sha256(repr(streams).encode()).hexdigest()
+    assert digest == ISO_CLASSES_PAST_13_SHA256
+
+
 # unlabelled forests on n vertices, n = 1..13 (OEIS A005195)
 UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601, 3658]
 
@@ -331,6 +351,27 @@ def test_gamma_and_alpha_take_every_value_between_their_extremes(iso_classes_to_
             assert values == set(range(min(values), max(values) + 1)), degrees
 
 
+def test_two_switches_move_gamma_and_alpha_by_at_most_one():
+    # observed on every class here, not proved: with the switches
+    # connecting each F(d), steps of at most 1 would give the intervals
+    switches = 0
+    for seq in sweep_sequences(10):
+        n = len(seq)
+        for forest in enumerate_realizations(seq, iso_dedup=True):
+            edges = list(forest.edges)
+            gamma = forest.domination_number()[0]
+            alpha = forest.independence_number()[0]
+            for move in _swap_moves(n, edges, _edge_mask(n, edges)):
+                try:
+                    after = Forest(n, _apply_move(edges, move))
+                except ForestError:
+                    continue
+                switches += 1
+                assert abs(after.domination_number()[0] - gamma) <= 1, after.edges
+                assert abs(after.independence_number()[0] - alpha) <= 1, after.edges
+    assert switches == 6544
+
+
 @pytest.mark.parametrize("degrees", [(2,) * 250 + (1, 1), (1,) * 800])
 def test_labeled_walk_needs_no_deep_recursion(degrees):
     # one frame per vertex: past the interpreter's limit when recursive
@@ -346,6 +387,17 @@ def test_labeled_walk_needs_no_deep_recursion(degrees):
     else:
         assert first.edges == ((0, 1), (0, 2), *((v, v + 2) for v in range(1, 250)))
     assert first.edges < second.edges
+
+
+def test_iso_walk_needs_no_deep_recursion():
+    # planted halves 300 levels deep, built bottom up without recursion
+    degrees = (2,) * 600 + (1, 1)
+    limit = sys.getrecursionlimit()
+    (path,) = enumerate_realizations(degrees, iso_dedup=True, cap=5000)
+    assert sys.getrecursionlimit() == limit
+    # n - 1 edges and no degree above 2: one path
+    assert [len(nb) for nb in path.adj] == list(degrees)
+    assert len(path.edges) == len(degrees) - 1
 
 
 def test_size_cap():
