@@ -74,10 +74,24 @@ class DegreeSequence:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
-        """Parse a comma- or whitespace-separated list of plain integers."""
+        """Parse a comma- or whitespace-separated list of plain integers.
+
+        Every comma separates two entries, so a leading, trailing or
+        doubled comma is an error rather than a dropped entry.
+        """
         bad = stray_char(text)
         if bad is not None:
             raise ValueError(f"unexpected character {bad!r} in degree sequence")
+        # with whitespace gone, an empty field leaves a comma at an end or
+        # two in a row; one pass in C, so long inputs pay no Python loop
+        squeezed = "".join(text.split())
+        if squeezed.startswith(",") or squeezed.endswith(",") or ",," in squeezed:
+            fields = text.split(",")
+            blank = next(i for i, f in enumerate(fields) if not f.strip())
+            raise ValueError(
+                f"empty field {blank + 1} of {len(fields)}"
+                " in comma-separated degree sequence"
+            )
         tokens = text.replace(",", " ").split()
         if not tokens:
             raise ValueError("empty degree sequence")

@@ -143,18 +143,25 @@ _Planted = tuple[int, int, tuple]
 
 
 def _groupings(
-    rest: int, count: int, rows: list[list[int]], field: int, guard: int
+    rest: int,
+    count: int,
+    rows: list[list[int]],
+    marks: dict[int, int],
+    low: int,
+    field: int,
+    guard: int,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every way to split the multiset ``rest`` into ``count`` parts
     drawn from ``rows``, once each, as ``(part, copies)`` groups.
 
     Multisets are packed as in ``_iso_edge_sets``.  ``rows[t]`` lists, in
-    descending order, the allowed parts whose first non-zero count is at
-    degree index ``t``.  Distinct parts are taken in descending order,
-    so the next part always covers the first remaining degree; an
-    explicit stack keeps the depth off the interpreter's.  Every allowed
-    part has the same degree total relative to its size, so ``count`` is
-    fixed by ``rest`` and empties exactly when ``rest`` does.
+    descending order, the parts whose first non-zero count is at degree
+    index ``t``; a part is offered only when ``marks.get(part, 0) & low``
+    is set.  Distinct parts are taken in descending order, so the
+    next part always covers the first remaining degree; an explicit
+    stack keeps the depth off the interpreter's.  Every part has the
+    same degree total relative to its size, so ``count`` is fixed by
+    ``rest`` and empties exactly when ``rest`` does.
     """
     last = len(rows) - 1
     stack = [(rest | guard, count, -1, 0, ())]
@@ -168,11 +175,13 @@ def _groupings(
         row = rows[t]
         start = pos if t == row_prev else 0
         if count == 1:
-            if rest in row[start:]:
+            if marks.get(rest, 0) & low and rest in row[start:]:
                 yield groups + ((rest, 1),)
             continue
         for i in range(start, len(row)):
             part = row[i]
+            if not marks.get(part, 0) & low:
+                continue
             left = held - part
             copies = 1
             while copies <= count and left & guard == guard:
@@ -214,11 +223,11 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     vertices, and a planted tree of size s and height h inside a
     centre-rooted tree T has s + h + 1 <= |T| <= L, as the tallest
     other child of the centre, or the other half, is at least as tall.
-    So a root of size s takes children no taller than L - 2 - s, a
-    centre takes them no taller than (|T| - 3) / 2, and a split is
-    expanded only if each part has a tree under the cap and some height
-    can hold two of the centre's children.  These cuts drop only trees
-    that no yielded forest holds, so the yield order is unchanged.
+    So a root of size s takes children no taller than L - 2 - s, and a
+    centre no taller than (|T| - 3) / 2; a split offers a part only if
+    it has a tree under that cap, and a centre's split is expanded only
+    if some height can hold two of its children.  These cuts drop only
+    trees that no yielded forest holds, so the yield order is unchanged.
     """
     values = sorted({d for d in degrees if d > 0}, reverse=True)
     width = len(values)
@@ -262,12 +271,6 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     planted: dict[int, list[_Planted]] = {}
     heights: dict[int, int] = {}  # bit h is set when planted[key] has height h
 
-    def usable(cap: int) -> list[list[int]]:
-        """``planted_rows`` cut to the built keys with a tree of height
-        at most ``cap``."""
-        low = (2 << cap) - 1
-        return [[k for k in row if heights.get(k, 0) & low] for row in planted_rows]
-
     def fit(part: int, cap: int) -> list[_Planted]:
         """``planted[part]`` cut, in order, to its trees of height at most
         ``cap``."""
@@ -289,9 +292,7 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             floor = max(floor, bits & -bits)
         return (twice & ((2 << cap) - 1) & -floor).bit_length() - 1
 
-    def rooted(
-        key: int, planted_root: bool, rows: list[list[int]], cap: int
-    ) -> Iterator[tuple[int, tuple]]:
+    def rooted(key: int, planted_root: bool, cap: int) -> Iterator[tuple[int, tuple]]:
         """(root degree index, children) for every root in ``key`` and
         every multiset of planted children of height at most ``cap`` on
         the rest of ``key``; a planted root has one child fewer than its
@@ -305,7 +306,9 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
                     yield j, ()
                 continue
             parts = values[j] - 1 if planted_root else values[j]
-            for groups in _groupings(rest, parts, rows, field, guard):
+            low = (2 << cap) - 1
+            splits = _groupings(rest, parts, planted_rows, heights, low, field, guard)
+            for groups in splits:
                 top = cap if planted_root else centre_height(groups, cap)
                 if top >= 0:
                     fitted = [(fit(part, top), copies) for part, copies in groups]
@@ -315,27 +318,21 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     # Bottom up by size: a part is always smaller than the multiset it
     # splits.  A subtree of size s' and height h' of a planted tree has
     # s' + h' <= s + h - 2, so the cap s + h + 1 <= limit holds all the
-    # way down.  Below half the limit the children's cap binds no part of
-    # size s - 1 or less, so every key built so far is usable and the
-    # later ones are too big to be parts.
-    rows, rows_size = planted_rows, 0
+    # way down.  Every cap reads the one `planted_rows`, built once: a key
+    # not built yet, too big to be a part, has no height mask to offer.
     for s, key in sorted(planted_keys):
         cap = limit - 2 - s
         if s > 1 and cap < 0:
             break  # past the leaf, every planted root has a child
-        if 2 * s > limit and s != rows_size:
-            rows, rows_size = usable(cap), s
         trees = [
             (1 + max(c[0] for c in children) if children else 0, j, children)
-            for j, children in rooted(key, True, rows, cap)
+            for j, children in rooted(key, True, cap)
         ]
         if trees:
             planted[key] = trees
             heights[key] = 0
             for p in trees:
                 heights[key] |= 1 << p[0]
-
-    centre_rows: dict[int, list[list[int]]] = {}
 
     def free_trees(key: int, size: int) -> list[tuple[int, tuple]]:
         """Centre-rooted trees on ``key`` as (root degree index, children).
@@ -345,9 +342,7 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
         cap = (size - 3) // 2
         trees = []
         if cap >= 0:
-            if cap not in centre_rows:
-                centre_rows[cap] = usable(cap)
-            for j, children in rooted(key, False, centre_rows[cap], cap):
+            for j, children in rooted(key, False, cap):
                 tallest = max(c[0] for c in children)
                 if sum(1 for c in children if c[0] == tallest) >= 2:
                     trees.append((j, children))
@@ -364,7 +359,10 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
         return trees
 
     tree_memo: dict[int, list[tuple[int, tuple]]] = {}
-    for groups in _groupings(whole, components, tree_rows, field, guard):
+    # every tree part of a c-way split has at most L vertices, so it has a
+    # tree: its positive size meets a mask of all ones
+    splits = _groupings(whole, components, tree_rows, tree_sizes, -1, field, guard)
+    for groups in splits:
         for part, _ in groups:
             if part not in tree_memo:
                 tree_memo[part] = free_trees(part, tree_sizes[part])
@@ -394,7 +392,10 @@ def enumerate_realizations(
 
     Vertex i has degree ``degrees[i]`` in the non-increasing order of the
     sequence, so zero entries are the trailing, isolated vertices.
+    ``cap`` must be of type ``int`` exactly, as degrees must.
     """
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     if stats.n - stats.n0 > cap:
@@ -613,6 +614,8 @@ def swap_search_gamma(
     vertices.  An all-zero sequence has the edgeless forest as its only
     realization.
     """
+    if type(restarts) is not int:
+        raise ValueError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     seq = as_degree_sequence(degrees)

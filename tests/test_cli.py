@@ -196,6 +196,16 @@ def test_eval_rejects_coerced_integer_text(capsys, sequence):
     assert "unexpected character" in err
 
 
+@pytest.mark.parametrize("sequence", ["1,,1", ",1,1,"])
+def test_eval_rejects_empty_comma_fields(capsys, sequence):
+    # both used to answer for 1,1 and exit 0
+    code, out, err = run(capsys, ["eval", sequence])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: empty field ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text", ["n 1_0\n", "n 2\n0 +1\n", "n \uff12\n0 1\n"])
 def test_solve_rejects_coerced_integer_text(capsys, tmp_path, text):
     path = tmp_path / "forest.txt"

@@ -55,10 +55,29 @@ def test_constructor_reads_any_iterable_once():
 def test_parse_accepts_commas_and_whitespace():
     assert DegreeSequence.parse("3,2,1,1") == DegreeSequence((3, 2, 1, 1))
     assert DegreeSequence.parse("3 2  1\t1") == DegreeSequence((3, 2, 1, 1))
+    assert DegreeSequence.parse("3, 2, 1") == DegreeSequence((3, 2, 1))
+    assert DegreeSequence.parse(" 3 ,2,1 ") == DegreeSequence((3, 2, 1))
     with pytest.raises(ValueError):
         DegreeSequence.parse("  ")
     with pytest.raises(ValueError):
         DegreeSequence.parse("3,two")
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("1,,1", "field 2 of 3"),
+        (",1,1", "field 1 of 3"),
+        ("1,1,", "field 3 of 3"),
+        (",1,1,", "field 1 of 4"),
+        ("1, ,1", "field 2 of 3"),
+        (",", "field 1 of 2"),
+    ],
+)
+def test_parse_rejects_empty_comma_fields(text, field):
+    # each but "," used to parse as 1,1, dropping the empty field
+    with pytest.raises(ValueError, match=f"empty {field} in comma-separated"):
+        DegreeSequence.parse(text)
 
 
 @pytest.mark.parametrize("text", ["1_0,1", "\u0663,1,1,1", "\uff11,1", "+1,1", "2,1,1\u00a0"])

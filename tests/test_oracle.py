@@ -312,6 +312,38 @@ def test_iso_classes_past_thirteen_are_pinned():
     assert digest == ISO_CLASSES_PAST_13_SHA256
 
 
+# the iso search itself, not only what it yields: every split that
+# _groupings offers, in order, and the number of child and tree picks,
+# over the 518 sweep sequences with n <= 14.  Undoing the planted-tree
+# caps keeps both class pins green but changes these.
+ISO_SPLITS_SHA256 = "302fde2a8983273a505ccb0bc93caf60b84fd45cde565248efe829bcc5d90ecf"
+
+
+def test_iso_search_is_pinned(monkeypatch):
+    splits = []
+    picks = 0
+    real_groupings, real_picks = oracle._groupings, oracle._picks
+
+    def recording(*args):
+        for groups in real_groupings(*args):
+            splits.append(groups)
+            yield groups
+
+    def counting(groups):
+        nonlocal picks
+        for chosen in real_picks(groups):
+            picks += 1
+            yield chosen
+
+    monkeypatch.setattr(oracle, "_groupings", recording)
+    monkeypatch.setattr(oracle, "_picks", counting)
+    for seq in sweep_sequences(14):
+        for _ in _iso_edge_sets(seq.degrees):
+            pass
+    assert (len(splits), picks) == (15316, 22697)
+    assert hashlib.sha256(repr(splits).encode()).hexdigest() == ISO_SPLITS_SHA256
+
+
 # unlabelled forests on n vertices, n = 1..13 (OEIS A005195)
 UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601, 3658]
 
@@ -413,6 +445,16 @@ def test_size_cap():
     assert sum(1 for _ in enumerate_realizations(padded)) == 1
 
 
+@pytest.mark.parametrize("cap", [True, 20.5, 14.0, "14", None])
+def test_size_cap_must_be_an_int(cap):
+    # True compared as 1 and 20.5 as itself, and the error said "cap is True"
+    for iso_dedup in (False, True):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            next(enumerate_realizations((2, 1, 1), iso_dedup=iso_dedup, cap=cap))
+    with pytest.raises(ValueError, match="cap must be an integer"):
+        empirical_extremes((2, 1, 1), cap=cap)
+
+
 def test_canonical_key_is_relabelling_invariant():
     rng = random.Random(7)
     for trial in range(25):
@@ -493,6 +535,17 @@ def test_swap_search_rejects_restarts_below_one(monkeypatch, restarts):
 
     monkeypatch.setattr(oracle, "realize_any", no_search)
     with pytest.raises(ValueError, match="restarts must be at least 1"):
+        swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=restarts)
+
+
+@pytest.mark.parametrize("restarts", [True, 2.0, 20.5, "3", None])
+def test_swap_search_rejects_non_int_restarts(monkeypatch, restarts):
+    # True would run one restart and 2.0 two, were they coerced
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(oracle, "realize_any", no_search)
+    with pytest.raises(ValueError, match="restarts must be an integer"):
         swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=restarts)
 
 
