@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
@@ -156,8 +156,9 @@ def _groupings(
 
     Multisets are packed as in ``_iso_edge_sets``.  ``rows[t]`` lists, in
     descending order, the parts whose first non-zero count is at degree
-    index ``t``; a part is offered only when ``marks.get(part, 0) & low``
-    is set.  Distinct parts are taken in descending order, so the
+    index ``t``, and every key with a non-zero mark sits in its row; a
+    part is offered only when ``marks.get(part, 0) & low`` is set.
+    Distinct parts are taken in descending order, so the
     next part always covers the first remaining degree; an explicit
     stack keeps the depth off the interpreter's.  Every part has the
     same degree total relative to its size, so ``count`` is fixed by
@@ -175,7 +176,9 @@ def _groupings(
         row = rows[t]
         start = pos if t == row_prev else 0
         if count == 1:
-            if marks.get(rest, 0) & low and rest in row[start:]:
+            # a marked rest sits in this row, which descends, so it is in
+            # row[start:] iff it is no larger than row[start]
+            if marks.get(rest, 0) & low and start < len(row) and rest <= row[start]:
                 yield groups + ((rest, 1),)
             continue
         for i in range(start, len(row)):
@@ -194,11 +197,11 @@ def _groupings(
 
 def _picks(groups) -> Iterator[tuple]:
     """One tree per part: a multiset of ``copies`` trees from each
-    ``(trees, copies)`` group."""
-    for chosen in product(
-        *(combinations_with_replacement(trees, copies) for trees, copies in groups)
-    ):
-        yield tuple(chain.from_iterable(chosen))
+    ``(trees, copies)`` group.  A split has few groups, so joining their
+    tuples with ``sum`` costs less than a chain object per pick."""
+    options = [combinations_with_replacement(trees, copies) for trees, copies in groups]
+    for chosen in product(*options):
+        yield sum(chosen, ())
 
 
 def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -378,7 +381,8 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
                     v = label[t]
                     label[t] += 1
                     edges.append((parent, v))
-                    stack.extend((v, child) for child in grand)
+                    if grand:
+                        stack += [(v, child) for child in grand]
             yield tuple(edges)
 
 
@@ -521,9 +525,17 @@ def _swap_moves(n: int, edges: list[tuple[int, int]], mask: int) -> Iterator[_Mo
 
 
 def _apply_move(edges: list[tuple[int, int]], move: _Move) -> list[tuple[int, int]]:
-    """The edge list after a move: the untouched edges in order, then e1, e2."""
+    """The edge list after a move: the untouched edges in order, then e1, e2.
+
+    ``edges`` is left as it was.  The move must have ``i < j``, as
+    ``_swap_moves`` and ``_ranked`` give it, so that deleting ``j`` first
+    leaves ``i`` in place.
+    """
     i, j, e1, e2, _ = move
-    return [e for k, e in enumerate(edges) if k != i and k != j] + [e1, e2]
+    out = edges.copy()
+    del out[j], out[i]
+    out += e1, e2
+    return out
 
 
 # (x, y, crossed, e1, e2, key): a move held by its edges rather than their

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from itertools import chain, combinations_with_replacement, product
 from math import comb, factorial
 
 import pytest
@@ -18,9 +19,11 @@ from forestdom.oracle import (
     _apply_move,
     _edge_mask,
     _forest_value,
+    _groupings,
     _iso_edge_sets,
     _labeled_count,
     _labeled_edge_sets,
+    _picks,
     _plan,
     _ranked,
     _swap_moves,
@@ -344,6 +347,51 @@ def test_iso_search_is_pinned(monkeypatch):
     assert hashlib.sha256(repr(splits).encode()).hexdigest() == ISO_SPLITS_SHA256
 
 
+# Two degree values packed in 3-bit fields under guard bits 2 and 5, as
+# `_iso_edge_sets` packs them: 16 holds two of the first value, 9 one of
+# each.  Both start at degree index 0, so both sit in row 0, descending.
+ROWS = [[16, 9], []]
+GUARD = 0b100100
+
+
+def test_groupings_takes_a_last_part_only_from_start_on():
+    marks = {16: 1, 9: 1}
+    # at the top of a split, start is 0: a lone part anywhere in its row
+    assert list(_groupings(16, 1, ROWS, marks, 1, 3, GUARD)) == [((16, 1),)]
+    assert list(_groupings(9, 1, ROWS, marks, 1, 3, GUARD)) == [((9, 1),)]
+    # after 9, the rest 16 sits before start: larger than the part before
+    # it, it was already taken as the split 16 + 9
+    assert list(_groupings(25, 2, ROWS, marks, 1, 3, GUARD)) == [((16, 1), (9, 1))]
+    # after one 9, start is past the end of the row: a second 9 comes only
+    # as two copies
+    assert list(_groupings(18, 2, ROWS, marks, 1, 3, GUARD)) == [((9, 2),)]
+
+
+def test_groupings_offers_only_marked_parts():
+    marks = {16: 2, 9: 1}
+    assert list(_groupings(16, 1, ROWS, marks, 1, 3, GUARD)) == []
+    assert list(_groupings(25, 2, ROWS, marks, 1, 3, GUARD)) == []
+    assert list(_groupings(25, 2, ROWS, marks, 3, 3, GUARD)) == [((16, 1), (9, 1))]
+
+
+@pytest.mark.parametrize(
+    "groups,count",
+    [
+        ([], 1),  # the all-zero forest: one empty pick
+        ([("abc", 2), ("de", 1), ("fg", 3)], 6 * 2 * 4),
+    ],
+)
+def test_picks_are_multisets_per_group_in_product_order(groups, count):
+    reference = [
+        tuple(chain.from_iterable(chosen))
+        for chosen in product(
+            *(combinations_with_replacement(trees, copies) for trees, copies in groups)
+        )
+    ]
+    assert list(_picks(groups)) == reference
+    assert len(reference) == count
+
+
 # unlabelled forests on n vertices, n = 1..13 (OEIS A005195)
 UNLABELED_FORESTS = [1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601, 3658]
 
@@ -665,6 +713,28 @@ def test_swap_moves_are_simple_two_switches():
         assert move[4] == _edge_mask(n, after)
         # degree-preserving: the same endpoints, re-paired
         assert sorted(sum(after, ())) == sorted(sum(edges, ()))
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (2, 3), (3, 4), (0, 2), (4, 5)],
+        [(1, 2), (2, 3), (3, 4), (4, 5), (0, 1)],
+        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (3, 8), (3, 9), (2, 7)],
+        [(5, 6), (0, 1), (7, 8), (0, 2), (6, 7), (0, 3), (8, 9), (0, 4)],
+    ],
+)
+def test_apply_move_drops_both_edges_and_appends_the_new_pair(edges):
+    n = 10
+    moves = list(_swap_moves(n, edges, _edge_mask(n, edges)))
+    pairs = {move[:2] for move in moves}
+    last = len(edges) - 1
+    assert (last - 1, last) in pairs  # adjacent, and at the end
+    before = list(edges)
+    for move in moves:
+        expected = [e for k, e in enumerate(edges) if k not in move[:2]]
+        assert _apply_move(edges, move) == expected + list(move[2:4])
+        assert edges == before
 
 
 def test_cyclic_switch_is_rejected():
