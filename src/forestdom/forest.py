@@ -2,15 +2,14 @@
 
 Vertices are the integers ``0 .. n-1``.  A ``Forest`` is immutable after
 construction and validates itself (no loops, no parallel edges, no
-cycles).  Solvers run linear-time dynamic programs as folds over a
-breadth-first parent array, one rooted traversal per call; every tie
-resolves toward smaller labels, so all outputs are deterministic.
+cycles).  The solvers are linear greedy folds over a breadth-first
+parent array, one rooted traversal per call, and pick exactly what the
+rooted cost programs would; all outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 from typing import Iterable, Iterator
 
 from .degseq import DegreeSequence, stray_char
@@ -129,7 +128,7 @@ class Forest:
 
     def components(self) -> list[VertexSet]:
         """Vertex sets of the components, ordered by smallest member."""
-        order, parent, _ = self._rooted()
+        order, parent = self._rooted()
         # each component is the run of the BFS order that starts at its root
         comps: list[list[int]] = []
         for v in order:
@@ -152,118 +151,72 @@ class Forest:
     def domination_number(self) -> tuple[int, VertexSet]:
         """Minimum dominating set size plus one witness set.
 
-        Per component, a rooted 3-state program: vertex in the set,
-        vertex covered by a child, or vertex left for its parent.
-        Isolated vertices always join the set.  One bottom-up sweep
-        adds each vertex's costs into its parent's running sums; one
-        top-down sweep then sets each vertex's state from its parent's.
+        One bottom-up sweep of the deepest-first greedy (Cockayne,
+        Goodman and Hedetniemi, 1975): a vertex that a child needs joins
+        the set and covers its parent, an uncovered root joins, and any
+        other uncovered vertex needs its parent.  It takes exactly what
+        the rooted cost program takes.  With in, cov and open v's least
+        subtree cost in the set, covered by a child or left for its
+        parent (in <= cov + 1 and in <= open + 1 always): open < in <= cov
+        iff every child is covered and none is in, in <= min(cov, open)
+        iff some child is left, and cov < in otherwise.
         """
-        n = self.n
-        inf = n + 1
-        order, parent, roots = self._rooted()
-        # running sums over the children folded in so far; a vertex's
-        # are final when the bottom-up sweep reaches it
-        cost_in = [1] * n  # in the set: 1 + each child's least cost
-        cost_open = [0] * n  # left for the parent: each child covered
-        # covered by a child: each child's min(in, cov), plus penalty[v]:
-        # 0 once some child prefers the set, 1 if none does (cost_in <=
-        # cost_cov + 1 always holds), inf with no child
-        cost_cov = [0] * n
-        penalty = [inf] * n
-        for v in reversed(order):
-            c_in = cost_in[v]
-            c_cov = cost_cov[v] + penalty[v]
-            cost_cov[v] = c_cov
-            p = parent[v]
-            if p < 0:
-                continue
-            c_open = cost_open[v]
-            cost_open[p] += c_cov
-            if c_in <= c_cov:
-                cost_in[p] += c_in if c_in <= c_open else c_open
-                cost_cov[p] += c_in
-                penalty[p] = 0
-            else:
-                cost_in[p] += c_cov if c_cov <= c_open else c_open
-                cost_cov[p] += c_cov
-                if penalty[p] == inf:
-                    penalty[p] = 1
-        IN, COV, OPEN = 0, 1, 2
-        total = sum(min(cost_in[r], cost_cov[r]) for r in roots)
-        state = [IN] * n
+        order, parent = self._rooted()
+        # slot n stands for the parent -1 of every root
+        covered = [False] * (self.n + 1)
+        needed = [False] * (self.n + 1)
         chosen: list[int] = []
-        for v in order:
-            c_in = cost_in[v]
-            c_cov = cost_cov[v]
+        for v in reversed(order):
             p = parent[v]
-            if p < 0:
-                s = IN if c_in <= c_cov else COV
-            elif state[p] == IN:
-                c_open = cost_open[v]
-                if c_in <= c_cov and c_in <= c_open:
-                    s = IN
-                else:
-                    s = COV if c_cov <= c_open else OPEN
-            elif state[p] == OPEN:
-                s = COV
-            else:
-                # covered by a child: p's penalty is 0, since a vertex with
-                # penalty 1 has cost_in <= cost_cov and cost_open < cost_cov
-                # and no branch puts it here; so some child joins for free
-                s = IN if c_in <= c_cov else COV
-            state[v] = s
-            if s == IN:
+            if needed[v] or (p < 0 and not covered[v]):
                 chosen.append(v)
-        return total, frozenset(chosen)
+                covered[p] = True
+            elif not covered[v]:
+                needed[p] = True
+        # members enter in BFS order, as in the independence witness
+        return len(chosen), frozenset(reversed(chosen))
 
     def independence_number(self) -> tuple[int, VertexSet]:
         """Maximum independent set size plus one witness set.
 
-        One bottom-up sweep adds each vertex's two sizes (in the set,
-        out of it) into its parent's; one top-down sweep takes a vertex
-        when its parent is out and taking it is no worse.
+        A vertex is strict when none of its children is; these are the
+        vertices the deepest-first greedy takes (as Cockayne, Goodman
+        and Hedetniemi, 1975, do for domination).  A top-down sweep
+        takes each vertex with at most one strict child whose parent is
+        out, as the rooted in/out size program does: in > out iff no
+        child is strict, and in >= out iff at most one is.
         """
-        n = self.n
-        order, parent, roots = self._rooted()
-        size_in = [1] * n
-        size_out = [0] * n
+        order, parent = self._rooted()
+        # slot n stands for the parent -1 of every root, never taken
+        strict_children = [0] * (self.n + 1)
         for v in reversed(order):
-            p = parent[v]
-            if p >= 0:
-                s_in = size_in[v]
-                s_out = size_out[v]
-                size_in[p] += s_out
-                size_out[p] += s_in if s_in >= s_out else s_out
-        total = sum(max(size_in[r], size_out[r]) for r in roots)
-        taken = [False] * n
+            if not strict_children[v]:
+                strict_children[parent[v]] += 1
+        taken = [False] * (self.n + 1)
         chosen: list[int] = []
         for v in order:
-            p = parent[v]
-            if size_in[v] >= size_out[v] and (p < 0 or not taken[p]):
+            if strict_children[v] <= 1 and not taken[parent[v]]:
                 taken[v] = True
                 chosen.append(v)
-        return total, frozenset(chosen)
+        return len(chosen), frozenset(chosen)
 
-    def _rooted(self, first: int = 0) -> tuple[list[int], list[int], list[int]]:
-        """BFS order, parent array, and per-component roots.
+    def _rooted(self, first: int = 0) -> tuple[list[int], list[int]]:
+        """BFS order and parent array.
 
         The first component is rooted at ``first``, which may be any
         label, and every other at its smallest label.  Each component
         occupies one contiguous run of the order; ``parent`` is -1 at
         the roots, and each vertex's children follow it in ascending
-        label order.  The solvers are folds over these:
-        ``reversed(order)`` meets every vertex after all of its
-        children, ``order`` after its parent.
+        label order.  ``reversed(order)`` meets every vertex after all
+        of its children, ``order`` after its parent.
         """
         adj = self.adj
         parent = [-2] * self.n  # -2 until reached
         order: list[int] = []
-        roots: list[int] = []
-        for start in chain((first,) if self.n else (), range(self.n)):
+        for start in (first, *range(self.n)) if self.n else ():
             if parent[start] != -2:
                 continue
             parent[start] = -1
-            roots.append(start)
             # the loop walks the run as it grows: breadth-first order
             run = [start]
             append = run.append
@@ -275,7 +228,7 @@ class Forest:
                         parent[w] = v
                         append(w)
             order += run
-        return order, parent, roots
+        return order, parent
 
     # ------------------------------------------------------------------
     # paths and partial domination
@@ -292,7 +245,7 @@ class Forest:
         end = 0
         for _ in range(2):
             start = end
-            order, parent, _ = self._rooted(start)
+            order, parent = self._rooted(start)
             depth = [0] * self.n
             for v in order[1:]:
                 depth[v] = depth[parent[v]] + 1
@@ -316,7 +269,7 @@ class Forest:
         if self.component_count() != 1:
             raise NotConnectedError("internal_dominating_set needs one component")
         adj = self.adj
-        order, parent, _ = self._rooted()
+        order, parent = self._rooted()
         covered = [False] * self.n
         # needed[v]: some child of v has degree >= 2 and is uncovered
         needed = [False] * self.n

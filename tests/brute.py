@@ -7,8 +7,9 @@ edge and component counts, and isomorphism classes and automorphism
 counts by a canonical string per component, rooted at the centres found
 by trimming leaves.
 These are only usable at toy sizes.  For large forests, domination and
-independence also come from the classical linear greedy algorithms,
-over a breadth-first search of their own.
+independence also come from the classical linear greedy algorithms and
+from the rooted cost programs (in, covered or left for the parent; in
+or out), each over a breadth-first search of its own.
 """
 
 from __future__ import annotations
@@ -119,6 +120,94 @@ def matching_independence_number(n: int, edges) -> int:
             matched[v] = matched[p] = True
             pairs += 1
     return n - pairs
+
+
+def dp_domination_number(n: int, edges) -> tuple[int, frozenset[int]]:
+    """Domination number of a forest and one witness set, by the rooted
+    three-state cost program: each vertex is in the set, covered by a
+    child, or left for its parent to cover.  A bottom-up sweep sums each
+    vertex's three costs into its parent's; a top-down sweep then sets
+    each vertex's state from its parent's, every tie going to the set."""
+    _, order, parent = _bfs_parents(n, edges)
+    inf = n + 1
+    cost_in = [1] * n  # in the set: 1 + each child's least cost
+    cost_open = [0] * n  # left for the parent: each child covered
+    # covered by a child: each child's min(in, cov), plus penalty[v]:
+    # 0 once some child prefers the set, 1 if none does (cost_in <=
+    # cost_cov + 1 always holds), inf with no child
+    cost_cov = [0] * n
+    penalty = [inf] * n
+    for v in reversed(order):
+        c_in = cost_in[v]
+        c_cov = cost_cov[v] + penalty[v]
+        cost_cov[v] = c_cov
+        p = parent[v]
+        if p < 0:
+            continue
+        c_open = cost_open[v]
+        cost_open[p] += c_cov
+        if c_in <= c_cov:
+            cost_in[p] += min(c_in, c_open)
+            cost_cov[p] += c_in
+            penalty[p] = 0
+        else:
+            cost_in[p] += min(c_cov, c_open)
+            cost_cov[p] += c_cov
+            if penalty[p] == inf:
+                penalty[p] = 1
+    IN, COV, OPEN = 0, 1, 2
+    total = 0
+    state = [IN] * n
+    chosen = []
+    for v in order:
+        c_in = cost_in[v]
+        c_cov = cost_cov[v]
+        p = parent[v]
+        if p < 0:
+            total += min(c_in, c_cov)
+            s = IN if c_in <= c_cov else COV
+        elif state[p] == IN:
+            c_open = cost_open[v]
+            if c_in <= c_cov and c_in <= c_open:
+                s = IN
+            else:
+                s = COV if c_cov <= c_open else OPEN
+        elif state[p] == OPEN:
+            s = COV
+        else:
+            # p is covered by a child, so p's penalty is 0 and some child
+            # joins for free
+            s = IN if c_in <= c_cov else COV
+        state[v] = s
+        if s == IN:
+            chosen.append(v)
+    return total, frozenset(chosen)
+
+
+def dp_independence_number(n: int, edges) -> tuple[int, frozenset[int]]:
+    """Independence number of a forest and one witness set, by the rooted
+    two-state size program: a bottom-up sweep sums each vertex's sizes
+    in and out of the set into its parent's; a top-down sweep takes a
+    vertex when its parent is out and taking it is no worse."""
+    _, order, parent = _bfs_parents(n, edges)
+    size_in = [1] * n
+    size_out = [0] * n
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            size_in[p] += size_out[v]
+            size_out[p] += max(size_in[v], size_out[v])
+    total = 0
+    taken = [False] * n
+    chosen = []
+    for v in order:
+        p = parent[v]
+        if p < 0:
+            total += max(size_in[v], size_out[v])
+        if size_in[v] >= size_out[v] and (p < 0 or not taken[p]):
+            taken[v] = True
+            chosen.append(v)
+    return total, frozenset(chosen)
 
 
 def _is_forest(n: int, edges) -> bool:

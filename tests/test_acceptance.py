@@ -250,3 +250,33 @@ def test_criterion_9_formulas_match_enumeration_to_fourteen():
         f"with n <= 14, {len(mismatches)} mismatches; tree classes per "
         f"n = 3..14 are {classes}",
     )
+
+
+# unlabelled trees on 15 and 16 vertices (OEIS A000055)
+UNLABELED_TREES_15_16 = [7741, 19320]
+
+
+def test_criterion_10_formulas_match_enumeration_at_fifteen_and_sixteen():
+    checked = 0
+    mismatches = []
+    classes = [0, 0]
+    for seq in sweep_sequences(16):
+        if len(seq) < 15:
+            continue
+        report = empirical_extremes(seq, cap=16)
+        values = extremal_values(seq)
+        if (
+            report.gamma_max != values.gamma_max
+            or report.alpha_min != values.alpha_min
+        ):
+            mismatches.append(seq.degrees)
+        if validate(seq).c == 1:
+            classes[len(seq) - 15] += report.realization_count_iso
+        checked += 1
+    _report(
+        10,
+        checked == 507 and not mismatches and classes == UNLABELED_TREES_15_16,
+        f"closed forms equal enumerated extremes on {checked} sequences "
+        f"with n = 15 and 16, {len(mismatches)} mismatches; tree classes "
+        f"per n = 15, 16 are {classes}",
+    )

@@ -1,11 +1,12 @@
 import hashlib
 import random
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestdom.construct import extremal_build, random_forest
+from forestdom.construct import _decode_prufer, extremal_build, random_forest
 from forestdom.degseq import DegreeSequence
 from forestdom.forest import (
     CycleDetectedError,
@@ -25,6 +26,8 @@ from brute import (
     brute_domination_number,
     brute_independence_number,
     brute_internal_domination_number,
+    dp_domination_number,
+    dp_independence_number,
     greedy_domination_number,
     matching_independence_number,
 )
@@ -298,8 +301,9 @@ def test_solvers_deterministic():
     assert forest.independence_number() == forest.independence_number()
 
 
-def test_solvers_match_greedy_algorithms_on_large_forests():
-    # the classical linear algorithms share no code with the DPs
+def _seeded_large_forests():
+    """100 seeded forests with up to 2,000 vertices: every other one a
+    tree, and half of them relabelled."""
     rng = random.Random(2000)
     for draw in range(100):
         n = rng.randint(1, 2000)
@@ -307,12 +311,40 @@ def test_solvers_match_greedy_algorithms_on_large_forests():
         forest = random_forest(n, target, seed=rng.randrange(10**6))
         if draw % 4 < 2:
             forest = _relabelled(forest, rng)
+        yield forest
+
+
+def test_solvers_match_greedy_algorithms_on_large_forests():
+    # the classical linear algorithms share no code with the library
+    for draw, forest in enumerate(_seeded_large_forests()):
+        n = forest.n
         assert forest.domination_number()[0] == greedy_domination_number(
             n, forest.edges
         ), draw
         assert forest.independence_number()[0] == matching_independence_number(
             n, forest.edges
         ), draw
+
+
+def _labelled_trees(max_n):
+    """Every labelled tree on 1 .. max_n vertices, one per Prufer code."""
+    yield Forest(1)
+    for n in range(2, max_n + 1):
+        for code in product(range(n), repeat=n - 2):
+            yield Forest(n, _decode_prufer(list(code)))
+
+
+def test_solvers_pick_what_the_cost_programs_pick():
+    # the greedy folds must return the cost programs' very witness sets
+    trees = list(_labelled_trees(7))
+    assert len(trees) == 18_249
+    for forest in chain(trees, _seeded_large_forests()):
+        assert forest.domination_number() == dp_domination_number(
+            forest.n, forest.edges
+        ), forest
+        assert forest.independence_number() == dp_independence_number(
+            forest.n, forest.edges
+        ), forest
 
 
 # ----------------------------------------------------------------------
