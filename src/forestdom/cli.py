@@ -244,20 +244,13 @@ def cmd_sweep(args) -> int:
             )
     else:
         results = [_verify_payload(degs, cap) for degs in sequences]
-    mismatches = [r for r in results if not r["match"]]
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "checked": len(results),
-                    "mismatches": len(mismatches),
-                    "results": results,
-                }
-            )
-        )
-    else:
-        for r in results:
-            line = "{} gamma_max {}={} alpha_min {}={} {}".format(
+    mismatches = sum(not r["match"] for r in results)
+    payload = {"checked": len(results), "mismatches": mismatches, "results": results}
+    _emit(
+        args,
+        payload,
+        lambda: [
+            "{} gamma_max {}={} alpha_min {}={} {}".format(
                 ",".join(str(d) for d in r["sequence"]),
                 r["gamma_max_empirical"],
                 r["gamma_max_formula"],
@@ -265,8 +258,10 @@ def cmd_sweep(args) -> int:
                 r["alpha_min_formula"],
                 "ok" if r["match"] else "MISMATCH",
             )
-            print(line)
-        print(f"checked {len(results)} sequences, {len(mismatches)} mismatches")
+            for r in results
+        ]
+        + [f"checked {len(results)} sequences, {mismatches} mismatches"],
+    )
     return EXIT_OK if not mismatches else EXIT_MISMATCH
 
 

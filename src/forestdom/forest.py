@@ -10,7 +10,8 @@ rooted cost programs would; all outputs are deterministic.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 from .degseq import DegreeSequence, stray_char
 
@@ -45,6 +46,7 @@ class ForestFormatError(ForestError):
     """A forest file or string does not follow either format."""
 
 
+@dataclass(frozen=True, init=False)
 class Forest:
     """A simple acyclic undirected graph, held as a value object.
 
@@ -55,6 +57,8 @@ class Forest:
     """
 
     __slots__ = ("n", "edges", "adj")
+    n: int
+    edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         # type() rather than isinstance(): bool is a subclass of int
@@ -99,19 +103,9 @@ class Forest:
         # ascending already: edges are sorted with the smaller endpoint first
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Forest instances are immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Forest):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Forest(n={self.n}, edges={self.edges})"
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, so loading re-runs its checks
+        return Forest, (self.n, self.edges)
 
     # ------------------------------------------------------------------
     # basic structure

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import chain, product
 
@@ -20,7 +22,7 @@ from forestdom.forest import (
     read_forest,
     write_forest,
 )
-from forestdom.oracle import sweep_sequences
+from forestdom.oracle import empirical_extremes, sweep_sequences
 
 from brute import (
     brute_domination_number,
@@ -74,12 +76,48 @@ def test_value_semantics():
     assert Forest(3, [(1, 0)]) == Forest(3, [(0, 1)])
     assert Forest(3, [(0, 1)]) != Forest(3, [(0, 2)])
     assert hash(Forest(3, [(1, 0)])) == hash(Forest(3, [(0, 1)]))
+    assert repr(Forest(4, [(2, 3), (0, 1)])) == "Forest(n=4, edges=((0, 1), (2, 3)))"
 
 
 def test_immutable():
     forest = path(3)
     with pytest.raises(AttributeError):
         forest.n = 5
+    with pytest.raises(AttributeError):
+        del forest.adj
+    with pytest.raises(AttributeError):
+        del forest.n
+    with pytest.raises(AttributeError):
+        forest.extra = 1
+
+
+def test_pickle_and_copy_rebuild_through_the_checks(monkeypatch):
+    forest = Forest(5, [(3, 4), (0, 1), (1, 2)])
+    report = empirical_extremes((2, 2, 1, 1, 1, 1, 1, 1))
+    certificate = extremal_build((3, 2, 1, 1, 1))
+    built = []
+    init = Forest.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Forest, "__init__", counting_init)
+    for clone in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.copy, copy.deepcopy):
+        built.clear()
+        again = clone(forest)
+        # the copy is rebuilt through the constructor, checks included
+        assert built == [(forest.n, forest.edges)]
+        assert again == forest and again.adj == forest.adj
+        report_again = clone(report)
+        certificate_again = clone(certificate)
+        assert report_again == report and certificate_again == certificate
+        pairs = [
+            (report_again.witness_gamma_max, report.witness_gamma_max),
+            (report_again.witness_alpha_min, report.witness_alpha_min),
+            (certificate_again.forest, certificate.forest),
+        ]
+        assert all(new.adj == old.adj for new, old in pairs)
 
 
 def test_rejects_self_loop():
