@@ -15,8 +15,8 @@ from contextlib import contextmanager
 from typing import Callable
 
 from .construct import extremal_build
-from .degseq import DegreeSequence, DegreeSequenceError, validate
-from .forest import ForestError, read_forest, write_forest
+from .degseq import DegreeSequence, validate
+from .forest import read_forest, write_forest
 from .formulas import _values, extremal_values
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -355,9 +355,7 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CAP
     # the last two: CPython's size checks refuse an oversize vertex count
-    except (
-        DegreeSequenceError, ForestError, OSError, ValueError, OverflowError, MemoryError
-    ) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         reason = str(exc)
         if not reason and isinstance(exc, MemoryError):
             reason = "out of memory"  # CPython's own MemoryError has no text

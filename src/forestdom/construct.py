@@ -251,6 +251,12 @@ def random_forest(n: int, component_target: int, seed: int) -> Forest:
     random composition, then draws each block's tree uniformly from its
     labelled trees.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if type(component_target) is not int:
+        raise ValueError(
+            f"component_target must be an integer, got {component_target!r}"
+        )
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     if not 1 <= component_target <= n:

@@ -111,6 +111,8 @@ class Forest:
     # basic structure
 
     def degree(self, v: int) -> int:
+        if type(v) is not int or not 0 <= v < self.n:
+            raise LabelOutOfRangeError(f"vertex {v!r} is not an int in 0..{self.n - 1}")
         return len(self.adj[v])
 
     def degree_sequence(self) -> DegreeSequence:
@@ -155,9 +157,19 @@ class Forest:
         iff every child is covered and none is in, in <= min(cov, open)
         iff some child is left, and cov < in otherwise.
         """
+        chosen = self._dominate([False] * (self.n + 1))
+        # members enter in BFS order, as in the independence witness
+        return len(chosen), frozenset(reversed(chosen))
+
+    def _dominate(self, covered: list[bool]) -> list[int]:
+        """The deepest-first greedy's picks, in the order it takes them.
+
+        ``covered`` has n + 1 slots, slot n standing for the parent -1
+        of every root; a vertex covered on entry need not be dominated.
+        A vertex's children are settled before it is reached, so only
+        its parent's slot is ever written.
+        """
         order, parent = self._rooted()
-        # slot n stands for the parent -1 of every root
-        covered = [False] * (self.n + 1)
         needed = [False] * (self.n + 1)
         chosen: list[int] = []
         for v in reversed(order):
@@ -167,8 +179,7 @@ class Forest:
                 covered[p] = True
             elif not covered[v]:
                 needed[p] = True
-        # members enter in BFS order, as in the independence witness
-        return len(chosen), frozenset(reversed(chosen))
+        return chosen
 
     def independence_number(self) -> tuple[int, VertexSet]:
         """Maximum independent set size plus one witness set.
@@ -255,31 +266,14 @@ class Forest:
 
         For a tree of order n the result has at most ceil((n - 2) / 3)
         vertices, and every vertex of degree >= 2 outside it has a
-        neighbour inside.  Linear deepest-first greedy (Cockayne,
-        Goodman and Hedetniemi, 1975): an uncovered inner vertex whose
-        subtree is settled is best covered by its parent, which also
-        covers the most vertices still to come; the root covers itself.
+        neighbour inside.  It is the domination greedy started with the
+        leaves covered: an uncovered inner vertex whose subtree is
+        settled is best covered by its parent, which also covers the
+        most vertices still to come; the root covers itself.
         """
         if self.component_count() != 1:
             raise NotConnectedError("internal_dominating_set needs one component")
-        adj = self.adj
-        order, parent = self._rooted()
-        covered = [False] * self.n
-        # needed[v]: some child of v has degree >= 2 and is uncovered
-        needed = [False] * self.n
-        chosen: list[int] = []
-        for v in reversed(order):
-            inner_open = len(adj[v]) >= 2 and not covered[v]
-            p = parent[v]
-            if needed[v] or (p < 0 and inner_open):
-                chosen.append(v)
-                covered[v] = True
-                for w in adj[v]:
-                    covered[w] = True
-            elif inner_open:
-                # v's children are settled; only its parent can cover it
-                needed[p] = True
-        return frozenset(chosen)
+        return frozenset(self._dominate([len(nb) < 2 for nb in self.adj] + [False]))
 
     # ------------------------------------------------------------------
     # serialization

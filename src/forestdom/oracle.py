@@ -470,6 +470,8 @@ def sweep_sequences(max_n: int) -> Iterator[DegreeSequence]:
     Ordered by length, then degree total, then descending-lexicographic
     partition order; the shortest member is (2, 1, 1).
     """
+    if type(max_n) is not int:
+        raise ValueError(f"max_n must be an integer, got {max_n!r}")
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
     for n in range(3, max_n + 1):
@@ -616,7 +618,7 @@ def swap_search_gamma(
     restart.  The result is always a realization of `degrees`, so its
     domination number never exceeds the closed-form maximum; reaching
     it is not guaranteed.  Each call memoizes the value of every edge
-    set it meets, so the domination DP runs once per distinct forest.
+    set it meets, so the domination greedy runs once per distinct forest.
     It also scans the moves of every edge set it stands on only once,
     into a ``_plan``; a later visit ranks the plan's moves by the
     current edge order, which is all the scan order depends on.  So

@@ -284,6 +284,17 @@ def test_random_forest_component_target():
         assert random_forest(n, k, seed=0).component_count() == k
 
 
+@pytest.mark.parametrize(
+    "n, target, name",
+    [(5, True, "component_target"), (5, 1.0, "component_target"),
+     (5.0, 1, "n"), (True, 1, "n"), ("5", 1, "n")],
+)
+def test_random_forest_rejects_non_int_counts(n, target, name):
+    # a True target built a one-component tree, as 1 would
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        random_forest(n, target, seed=0)
+
+
 def test_random_forest_infeasible_split():
     with pytest.raises(InfeasibleSplitError):
         random_forest(3, 4, seed=0)

@@ -178,6 +178,15 @@ def test_rejects_negative_vertex_count():
         Forest(-1)
 
 
+@pytest.mark.parametrize("v", [-1, 3, True, 1.0])
+def test_degree_rejects_a_label_outside_the_vertices(v):
+    # -1 read vertex 2's degree and True vertex 1's, as list indices do
+    forest = Forest(3, [(0, 1)])
+    with pytest.raises(LabelOutOfRangeError, match=r"not an int in 0\.\.2"):
+        forest.degree(v)
+    assert [forest.degree(u) for u in range(3)] == [1, 1, 0]
+
+
 def test_degree_sequence_and_components():
     forest = Forest(6, [(0, 1), (0, 2), (3, 4)])
     assert forest.degree_sequence() == DegreeSequence((2, 1, 1, 1, 1, 0))
@@ -448,6 +457,28 @@ def test_internal_dominating_set_is_minimum():
         assert len(tree.internal_dominating_set()) == (
             brute_internal_domination_number(n, tree.edges)
         )
+
+
+# SHA-256 of repr() of the sorted internal_dominating_set() of every
+# labelled tree with n <= 7, then of each tree among _seeded_large_forests().
+# Recorded from the version that kept its own covered and needed arrays
+INTERNAL_DOMINATION_SHA256 = (
+    "870ece667385448df8508ac2626f02a8630a7be1d1d170375fbd256f08ee3872"
+)
+
+
+def test_internal_dominating_sets_are_pinned():
+    sets = []
+    for tree in _labelled_trees(7):
+        chosen = sorted(tree.internal_dominating_set())
+        assert len(chosen) == brute_internal_domination_number(tree.n, tree.edges)
+        sets.append(chosen)
+    for forest in _seeded_large_forests():
+        if forest.component_count() == 1:
+            sets.append(sorted(forest.internal_dominating_set()))
+    assert len(sets) == 18_249 + 50
+    digest = hashlib.sha256(repr(sets).encode()).hexdigest()
+    assert digest == INTERNAL_DOMINATION_SHA256
 
 
 def test_internal_dominating_set_needs_connected():

@@ -557,6 +557,13 @@ def test_sweep_rejects_tiny_bound():
     assert list(sweep_sequences(2)) == []
 
 
+@pytest.mark.parametrize("max_n", [4.0, True, "4", None])
+def test_sweep_rejects_a_non_int_bound(max_n):
+    # 4.0 failed inside range() with a bare TypeError
+    with pytest.raises(ValueError, match="max_n must be an integer"):
+        next(sweep_sequences(max_n))
+
+
 # ----------------------------------------------------------------------
 # swap search
 
