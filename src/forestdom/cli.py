@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import Callable
 
 from .construct import extremal_build
-from .degseq import DegreeSequence, validate
+from .degseq import DegreeSequence, SequenceStats, validate
 from .forest import read_forest, write_forest
 from .formulas import _values, extremal_values
 from .oracle import (
@@ -128,7 +128,9 @@ def cmd_solve(args) -> int:
     gamma, gamma_set = forest.domination_number()
     alpha, alpha_set = forest.independence_number()
     seq = forest.degree_sequence()
-    values = extremal_values(seq)
+    # validate refuses the empty sequence; the empty forest's counts are 0
+    stats = validate(seq) if forest.n else SequenceStats(0, 0, 0, 0, 0, 0, 0)
+    values = _values(stats)
     payload = {
         "n": forest.n,
         "edge_count": len(forest.edges),
@@ -154,8 +156,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _verify_payload(degrees: tuple[int, ...], cap: int) -> dict:
-    seq = DegreeSequence(degrees)
+def _verify_payload(seq: DegreeSequence, cap: int) -> dict:
     report = empirical_extremes(seq, cap=cap)
     values = extremal_values(seq)
     return {
@@ -215,7 +216,7 @@ def _worker_count(requested: int) -> int:
 def cmd_verify(args) -> int:
     cap = _checked_cap(args.cap)
     seq = DegreeSequence.parse(args.sequence)
-    payload = _verify_payload(seq.degrees, cap)
+    payload = _verify_payload(seq, cap)
     with _exact_ints():
         _emit(args, payload, lambda: _verify_lines(payload))
     return EXIT_OK if payload["match"] else EXIT_MISMATCH
@@ -231,7 +232,7 @@ def cmd_sweep(args) -> int:
         raise SizeCapExceededError(
             f"positive part has {too_long} entries, cap is {cap}"
         )
-    sequences = [seq.degrees for seq in sweep_sequences(args.max_n)]
+    sequences = list(sweep_sequences(args.max_n))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
@@ -243,7 +244,7 @@ def cmd_sweep(args) -> int:
                 )
             )
     else:
-        results = [_verify_payload(degs, cap) for degs in sequences]
+        results = [_verify_payload(seq, cap) for seq in sequences]
     mismatches = sum(not r["match"] for r in results)
     payload = {"checked": len(results), "mismatches": mismatches, "results": results}
     _emit(

@@ -65,13 +65,10 @@ def _tree_edges(degrees: tuple[int, ...]) -> list[tuple[int, int]]:
     n = len(degrees)
     spine = max(1, sum(1 for d in degrees if d >= 2))
     edges = [(i, i + 1) for i in range(spine - 1)]
-    capacity = []
-    for i in range(spine):
-        used = (1 if i in (0, spine - 1) else 2) if spine > 1 else 0
-        capacity.append(degrees[i] - used)
     leaf = spine
     for i in range(spine):
-        for _ in range(capacity[i]):
+        used = (1 if i in (0, spine - 1) else 2) if spine > 1 else 0
+        for _ in range(degrees[i] - used):
             edges.append((i, leaf))
             leaf += 1
     assert leaf == n, "leaf attachment must consume every degree-1 vertex"
@@ -257,6 +254,9 @@ def random_forest(n: int, component_target: int, seed: int) -> Forest:
         raise ValueError(
             f"component_target must be an integer, got {component_target!r}"
         )
+    # Random(-s) draws what Random(s) does, and None draws from the OS
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if n < 1:
         raise ValueError(f"need at least one vertex, got n={n}")
     if not 1 <= component_target <= n:

@@ -77,6 +77,8 @@ class Forest:
             normalized.append((u, v) if u < v else (v, u))
         normalized.sort()
         parent = list(range(n))  # union-find with path halving
+        # not before list(range(n)), which refuses an oversize n at once
+        adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
             ru = u
             while parent[ru] != ru:
@@ -94,8 +96,6 @@ class Forest:
                         raise DuplicateEdgeError(f"edge {cur} appears more than once")
                 raise CycleDetectedError(f"edge ({u}, {v}) closes a cycle")
             parent[rv] = ru
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
@@ -305,15 +305,13 @@ def from_json(text: str) -> Forest:
     # type() rather than isinstance(): JSON true/false load as bool, an int
     if type(n) is not int or not isinstance(edges, list):
         raise ForestFormatError("'n' must be an integer and 'edges' a list")
-    pairs = []
     for item in edges:
         if not (isinstance(item, list) and len(item) == 2):
             raise ForestFormatError(f"edge {item!r} is not a two-element list")
         u, v = item
         if type(u) is not int or type(v) is not int:
             raise ForestFormatError(f"edge {item!r} has non-integer endpoints")
-        pairs.append((u, v))
-    return Forest(n, pairs)
+    return Forest(n, edges)
 
 
 def from_text(text: str) -> Forest:
@@ -324,7 +322,7 @@ def from_text(text: str) -> Forest:
     bad = stray_char(text)
     if bad is not None:
         raise ForestFormatError(f"unexpected character {bad!r}")
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
     if not lines:
         raise ForestFormatError("empty forest document")
     head = lines[0].split()

@@ -244,9 +244,7 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     guard = sum(1 << (field * (j + 1) - 1) for j in range(width))
     unit = [1 << (field * (width - 1 - j)) for j in range(width)]
     planted_rows: list[list[int]] = [[] for _ in range(width)]
-    tree_rows: list[list[int]] = [[] for _ in range(width)]
     planted_keys = []
-    tree_sizes = {}
     # A tree has n1 = 2 + sum (d - 2) leaves over its inner vertices (the
     # leaf identity n1 = 2c + sum (d - 2) at c = 1), and a planted tree
     # one fewer.  So each vector of inner counts, with excess sum (d - 2),
@@ -262,11 +260,13 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             key = sum(m * u for m, u in zip(counts, unit)) + (excess + 1) * ones
             row = next((j for j, m in enumerate(counts) if m), width - 1)
             planted_keys.append((sum(counts) + excess + 1, key))
-            tree_sizes[key + ones] = sum(counts) + excess + 2
             planted_rows[row].append(key)
-            tree_rows[row].append(key + ones)
-    for row in planted_rows + tree_rows:
+    for row in planted_rows:
         row.sort(reverse=True)
+    # each tree key is its planted key plus a one, which keeps a row
+    # descending; with no keys, `ones` is never read
+    tree_rows = [[key + ones for key in row] for row in planted_rows]
+    tree_sizes = {key + ones: s + 1 for s, key in planted_keys}
 
     whole = sum(m * u for m, u in zip(full, unit))
     components = sum(full) - sum(m * d for m, d in zip(full, values)) // 2
@@ -632,6 +632,9 @@ def swap_search_gamma(
         raise ValueError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
+    # Random(-s) draws what Random(s) does, and None draws from the OS
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     seq = as_degree_sequence(degrees)
     stats = validate(seq)
     if stats.c == 0:

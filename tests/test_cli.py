@@ -43,6 +43,25 @@ def test_eval_validates_its_sequence_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["verify", "3,2,1,1,1", "--json"], 1), (["sweep", "--max-n", "6", "--json"], 14)],
+)
+def test_each_sequence_is_built_once(capsys, monkeypatch, argv, built):
+    # the parsed or swept sequence itself reaches the verify payload
+    calls = []
+    post_init = DegreeSequence.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(DegreeSequence, "__post_init__", counting)
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == built
+
+
 def test_module_entry_point_runs_eval():
     # the package's parent directory, so an uninstalled checkout runs too
     root = str(Path(forestdom.__file__).resolve().parents[1])
@@ -168,6 +187,32 @@ def test_solve_edgeless(capsys, tmp_path):
     assert payload["gamma"] == payload["gamma_max"] == 3
     assert payload["alpha"] == payload["alpha_min"] == 3
     assert payload["gamma_witness"] == payload["alpha_witness"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("empty.json", Forest(0).to_json() + "\n"), ("empty.txt", "n 0\n")],
+    ids=["json", "text"],
+)
+def test_solve_zero_vertices(capsys, tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, ["solve", "--json", str(path)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "n": 0, "edge_count": 0, "degree_sequence": [],
+        "gamma": 0, "gamma_witness": [], "alpha": 0, "alpha_witness": [],
+        "gamma_max": 0, "alpha_min": 0,
+    }
+    code, out, err = run(capsys, ["solve", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n=0 edges=0",
+        "degree_sequence=",
+        "gamma=0 witness=[]",
+        "alpha=0 witness=[]",
+        "gamma_max=0 alpha_min=0",
+    ]
 
 
 def test_build_edgeless_is_a_precondition_error(capsys, tmp_path):
@@ -535,6 +580,21 @@ def test_swap_search_rejects_restarts_below_one(capsys, monkeypatch, restarts):
     assert code == 1
     assert out == ""
     assert "restarts must be at least 1" in err
+
+
+def test_swap_search_rejects_a_negative_seed(capsys, monkeypatch):
+    # Random(-7) draws what Random(7) does, so the output's seed would lie
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(oracle, "realize_any", no_search)
+    code, out, err = run(
+        capsys,
+        ["swap-search", "3,3,2,2,1,1,1,1,1,1", "--seed", "-7", "--restarts", "3", "--json"],
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: ValueError: seed must be a non-negative integer, got -7\n"
 
 
 def test_swap_search_with_zero_entries(capsys):

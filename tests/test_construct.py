@@ -295,6 +295,17 @@ def test_random_forest_rejects_non_int_counts(n, target, name):
         random_forest(n, target, seed=0)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "7", -1])
+def test_random_forest_rejects_seeds_other_than_non_negative_ints(monkeypatch, seed):
+    # None would draw from the OS, and Random(-1) draws what Random(1) does
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(construct.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        random_forest(12, 4, seed=seed)
+
+
 def test_random_forest_infeasible_split():
     with pytest.raises(InfeasibleSplitError):
         random_forest(3, 4, seed=0)

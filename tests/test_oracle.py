@@ -604,6 +604,17 @@ def test_swap_search_rejects_non_int_restarts(monkeypatch, restarts):
         swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=restarts)
 
 
+@pytest.mark.parametrize("seed", [None, True, 1.5, "7", -1])
+def test_swap_search_rejects_seeds_other_than_non_negative_ints(monkeypatch, seed):
+    # None would draw from the OS, and Random(-1) draws what Random(1) does
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(oracle, "realize_any", no_search)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer, got "):
+        swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=3, seed=seed)
+
+
 def test_swap_search_attains_known_maxima():
     found = swap_search_gamma((2, 2, 1, 1, 1, 1, 1, 1), restarts=10, seed=1)
     assert found.domination_number()[0] == 4
