@@ -158,8 +158,7 @@ class Forest:
         iff some child is left, and cov < in otherwise.
         """
         chosen = self._dominate([False] * (self.n + 1))
-        # members enter in BFS order, as in the independence witness
-        return len(chosen), frozenset(reversed(chosen))
+        return len(chosen), frozenset(chosen)
 
     def _dominate(self, covered: list[bool]) -> list[int]:
         """The deepest-first greedy's picks, in the order it takes them.

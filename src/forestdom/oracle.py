@@ -420,36 +420,28 @@ def empirical_extremes(
     class that ``enumerate_realizations(iso_dedup=True)`` builds, which
     realizes the same extremes because relabelling changes neither
     number; once that walk has validated the sequence, the labelled
-    count comes from ``_labeled_count`` in closed form.
+    count comes from ``_labeled_count`` in closed form.  Each witness
+    is the first class in yield order that takes its extreme.
     """
     seq = as_degree_sequence(degrees)
     iso = 0
-    gamma_lo = alpha_lo = len(seq) + 1
-    gamma_hi = alpha_hi = -1
-    best_gamma = best_alpha = None
+    # value -> the first class that takes it
+    gammas: dict[int, Forest] = {}
+    alphas: dict[int, Forest] = {}
     for forest in enumerate_realizations(seq, iso_dedup=True, cap=cap):
         iso += 1
-        gamma, _ = forest.domination_number()
-        alpha, _ = forest.independence_number()
-        if gamma > gamma_hi:
-            gamma_hi = gamma
-            best_gamma = forest
-        gamma_lo = min(gamma_lo, gamma)
-        if alpha < alpha_lo:
-            alpha_lo = alpha
-            best_alpha = forest
-        alpha_hi = max(alpha_hi, alpha)
-    assert best_gamma is not None and best_alpha is not None
+        gammas.setdefault(forest.domination_number()[0], forest)
+        alphas.setdefault(forest.independence_number()[0], forest)
     return EnumerationReport(
         sequence=seq,
         realization_count_labeled=_labeled_count(seq.degrees),
         realization_count_iso=iso,
-        gamma_min=gamma_lo,
-        gamma_max=gamma_hi,
-        alpha_min=alpha_lo,
-        alpha_max=alpha_hi,
-        witness_gamma_max=best_gamma,
-        witness_alpha_min=best_alpha,
+        gamma_min=min(gammas),
+        gamma_max=max(gammas),
+        alpha_min=min(alphas),
+        alpha_max=max(alphas),
+        witness_gamma_max=gammas[max(gammas)],
+        witness_alpha_min=alphas[min(alphas)],
     )
 
 
@@ -547,7 +539,8 @@ _PlanMove = tuple[
     tuple[int, int], tuple[int, int], bool, tuple[int, int], tuple[int, int], int
 ]
 # an edge set's moves onto forests, its best moves if they beat its own
-# value (else none) and its neutral moves, which keep that value
+# value (else none) and its neutral moves, which keep that value, each
+# grouped by value rather than in scan order: _ranked sorts them
 _Plan = tuple[list[_PlanMove], list[_PlanMove], list[_PlanMove]]
 
 
@@ -558,10 +551,8 @@ def _plan(n: int, edges: list[tuple[int, int]], mask: int, memo: dict) -> _Plan:
     hold ``mask``; the values of the moves' edge sets are added to it.
     """
     current = memo[mask]
-    onto: list[_PlanMove] = []
-    best: list[_PlanMove] = []
-    neutral: list[_PlanMove] = []
-    top = current
+    # value -> its moves onto forests, out of scan order, which _ranked restores
+    by_value: dict[int, list[_PlanMove]] = {}
     for move in _swap_moves(n, edges, mask):
         i, j, e1, e2, key = move
         if key not in memo:
@@ -571,14 +562,11 @@ def _plan(n: int, edges: list[tuple[int, int]], mask: int, memo: dict) -> _Plan:
             continue
         y = edges[j]
         entry = (edges[i], y, y[1] in e1, e1, e2, key)
-        onto.append(entry)
-        if value > top:
-            top, best = value, [entry]
-        elif value == top > current:
-            best.append(entry)
-        if value == current:
-            neutral.append(entry)
-    return onto, best, neutral
+        by_value.setdefault(value, []).append(entry)
+    onto = [entry for moves in by_value.values() for entry in moves]
+    top = max(by_value, default=current)
+    best = by_value[top] if top > current else []
+    return onto, best, by_value.get(current, [])
 
 
 def _ranked(moves: list[_PlanMove], edges: list[tuple[int, int]]) -> list[_Move]:
@@ -617,8 +605,9 @@ def swap_search_gamma(
     otherwise a random neutral one, at most 10 * n neutral steps per
     restart.  The result is always a realization of `degrees`, so its
     domination number never exceeds the closed-form maximum; reaching
-    it is not guaranteed.  Each call memoizes the value of every edge
-    set it meets, so the domination greedy runs once per distinct forest.
+    it is not guaranteed.  The first restart to reach the best value
+    wins.  Each call memoizes the value of every edge set it meets, so
+    the domination greedy runs once per distinct forest.
     It also scans the moves of every edge set it stands on only once,
     into a ``_plan``; a later visit ranks the plan's moves by the
     current edge order, which is all the scan order depends on.  So
@@ -654,8 +643,8 @@ def swap_search_gamma(
             plans[mask] = _plan(n, edges, mask, memo)
         return plans[mask]
 
-    best_forest = None
-    best_gamma = -1
+    # domination number -> the edges of the first restart to end on it
+    finals: dict[int, list[tuple[int, int]]] = {}
     for restart in range(restarts):
         edges = list(start.edges)
         mask = start_mask
@@ -680,8 +669,5 @@ def swap_search_gamma(
             edges, mask = _apply_move(edges, move), move[4]
         current = memo[mask]
         assert current is not None
-        if current > best_gamma:
-            best_gamma = current
-            best_forest = Forest(stats.n, edges)
-    assert best_forest is not None
-    return best_forest
+        finals.setdefault(current, edges)
+    return Forest(stats.n, finals[max(finals)])

@@ -704,6 +704,15 @@ def test_ranked_plan_is_the_scan_in_every_edge_order(edges, improves):
     assert bool(best) == improves
 
 
+def test_plan_of_a_star_is_empty():
+    # no two edges of a star are disjoint, so it has no move at all
+    n, edges = 4, [(0, 1), (0, 2), (0, 3)]
+    mask = _edge_mask(n, edges)
+    memo = {mask: _forest_value(n, edges)}
+    assert _plan(n, edges, mask, memo) == ([], [], [])
+    assert memo == {mask: 1}
+
+
 def test_swap_search_scans_each_edge_set_once(monkeypatch):
     scanned = []
     real = oracle._swap_moves
