@@ -16,7 +16,7 @@ from typing import Callable
 
 from .construct import extremal_build
 from .degseq import DegreeSequence, SequenceStats, validate
-from .forest import read_forest, write_forest
+from .forest import _solve, read_forest, write_forest
 from .formulas import _values, extremal_values
 from .oracle import (
     DEFAULT_SIZE_CAP,
@@ -125,8 +125,7 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     forest = read_forest(args.path)
-    gamma, gamma_set = forest.domination_number()
-    alpha, alpha_set = forest.independence_number()
+    (gamma, gamma_set), (alpha, alpha_set) = _solve(forest)
     seq = forest.degree_sequence()
     # validate refuses the empty sequence; the empty forest's counts are 0
     stats = validate(seq) if forest.n else SequenceStats(0, 0, 0, 0, 0, 0, 0)

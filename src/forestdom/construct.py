@@ -24,7 +24,7 @@ from .degseq import (
     as_degree_sequence,
     validate,
 )
-from .forest import Forest
+from .forest import Forest, _solve
 from .formulas import _values
 
 
@@ -208,8 +208,7 @@ def extremal_build(degrees: "DegreeSequence | Iterable[int]") -> ExtremalCertifi
         edges = _matched_edges(seq.degrees, rest, stats.n1 - 2 * peeled)
     edges += _pair_edges(stats.n - 2 * peeled, peeled)
     forest = Forest(stats.n, edges)
-    gamma, _ = forest.domination_number()
-    alpha, _ = forest.independence_number()
+    (gamma, _), (alpha, _) = _solve(forest)
     return ExtremalCertificate(
         forest=forest,
         gamma=gamma,

@@ -92,10 +92,16 @@ class DegreeSequence:
                 f"empty field {blank + 1} of {len(fields)}"
                 " in comma-separated degree sequence"
             )
-        tokens = text.replace(",", " ").split()
-        if not tokens:
+        # int() once per distinct token, in first-seen order, so the first
+        # bad token in the text is the one named; the token list is freed
+        # before the entries are built, and the constructor sorts them
+        counts = Counter(text.replace(",", " ").split())
+        if not counts:
             raise ValueError("empty degree sequence")
-        return cls(tuple(map(int, tokens)))
+        degrees: list[int] = []
+        for token, count in counts.items():
+            degrees.extend(repeat(int(token), count))
+        return cls(degrees)
 
     def without_zeros(self) -> "DegreeSequence":
         """Drop all zero entries (they only add isolated vertices)."""

@@ -2,9 +2,10 @@
 
 Vertices are the integers ``0 .. n-1``.  A ``Forest`` is immutable after
 construction and validates itself (no loops, no parallel edges, no
-cycles).  The solvers are linear greedy folds over a breadth-first
-parent array, one rooted traversal per call, and pick exactly what the
-rooted cost programs would; all outputs are deterministic.
+cycles).  The solvers are linear greedy folds over a parent array and a
+parent-before-child order, and pick exactly what the rooted cost
+programs would; a caller that needs both numbers takes them from one
+rooted traversal per solved forest.  All outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class Forest:
         return len(self.adj[v])
 
     def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(tuple(len(nb) for nb in self.adj))
+        return DegreeSequence(tuple(map(len, self.adj)))
 
     def component_count(self) -> int:
         # acyclic, so every edge merges exactly two components
@@ -157,28 +158,8 @@ class Forest:
         iff every child is covered and none is in, in <= min(cov, open)
         iff some child is left, and cov < in otherwise.
         """
-        chosen = self._dominate([False] * (self.n + 1))
+        chosen = _dominate(*self._rooted(), [False] * (self.n + 1))
         return len(chosen), frozenset(chosen)
-
-    def _dominate(self, covered: list[bool]) -> list[int]:
-        """The deepest-first greedy's picks, in the order it takes them.
-
-        ``covered`` has n + 1 slots, slot n standing for the parent -1
-        of every root; a vertex covered on entry need not be dominated.
-        A vertex's children are settled before it is reached, so only
-        its parent's slot is ever written.
-        """
-        order, parent = self._rooted()
-        needed = [False] * (self.n + 1)
-        chosen: list[int] = []
-        for v in reversed(order):
-            p = parent[v]
-            if needed[v] or (p < 0 and not covered[v]):
-                chosen.append(v)
-                covered[p] = True
-            elif not covered[v]:
-                needed[p] = True
-        return chosen
 
     def independence_number(self) -> tuple[int, VertexSet]:
         """Maximum independent set size plus one witness set.
@@ -190,18 +171,7 @@ class Forest:
         out, as the rooted in/out size program does: in > out iff no
         child is strict, and in >= out iff at most one is.
         """
-        order, parent = self._rooted()
-        # slot n stands for the parent -1 of every root, never taken
-        strict_children = [0] * (self.n + 1)
-        for v in reversed(order):
-            if not strict_children[v]:
-                strict_children[parent[v]] += 1
-        taken = [False] * (self.n + 1)
-        chosen: list[int] = []
-        for v in order:
-            if strict_children[v] <= 1 and not taken[parent[v]]:
-                taken[v] = True
-                chosen.append(v)
+        chosen = _independent(*self._rooted())
         return len(chosen), frozenset(chosen)
 
     def _rooted(self, first: int = 0) -> tuple[list[int], list[int]]:
@@ -272,7 +242,8 @@ class Forest:
         """
         if self.component_count() != 1:
             raise NotConnectedError("internal_dominating_set needs one component")
-        return frozenset(self._dominate([len(nb) < 2 for nb in self.adj] + [False]))
+        covered = [len(nb) < 2 for nb in self.adj] + [False]
+        return frozenset(_dominate(*self._rooted(), covered))
 
     # ------------------------------------------------------------------
     # serialization
@@ -287,6 +258,58 @@ class Forest:
         lines = [f"n {self.n}"]
         lines.extend(f"{u} {v}" for u, v in self.edges)
         return "\n".join(lines) + "\n"
+
+
+def _dominate(order: list[int], parent: list[int], covered: list[bool]) -> list[int]:
+    """The deepest-first greedy's picks, in the order it takes them.
+
+    ``order`` meets every vertex after its parent, and ``parent`` is -1
+    at the roots.  ``covered`` has ``len(order) + 1`` slots, the last
+    standing for the parent -1 of every root; a vertex covered on entry
+    need not be dominated.  A vertex's children are settled before it
+    is reached, so only its parent's slot is ever written.
+    """
+    needed = [False] * (len(order) + 1)
+    chosen: list[int] = []
+    for v in reversed(order):
+        p = parent[v]
+        if needed[v] or (p < 0 and not covered[v]):
+            chosen.append(v)
+            covered[p] = True
+        elif not covered[v]:
+            needed[p] = True
+    return chosen
+
+
+def _independent(order: list[int], parent: list[int]) -> list[int]:
+    """A maximum independent set, in ``order``: strict children are
+    counted bottom-up, then each vertex with at most one strict child
+    whose parent is out is taken.  ``order`` and ``parent`` are as for
+    ``_dominate``."""
+    # slot len(order) stands for the parent -1 of every root, never taken
+    strict_children = [0] * (len(order) + 1)
+    for v in reversed(order):
+        if not strict_children[v]:
+            strict_children[parent[v]] += 1
+    taken = [False] * (len(order) + 1)
+    chosen: list[int] = []
+    for v in order:
+        if strict_children[v] <= 1 and not taken[parent[v]]:
+            taken[v] = True
+            chosen.append(v)
+    return chosen
+
+
+def _solve(forest: Forest) -> tuple[tuple[int, VertexSet], tuple[int, VertexSet]]:
+    """``(domination_number(), independence_number())`` of ``forest``,
+    both folded over one rooted traversal."""
+    order, parent = forest._rooted()
+    dominating = _dominate(order, parent, [False] * (forest.n + 1))
+    independent = _independent(order, parent)
+    return (
+        (len(dominating), frozenset(dominating)),
+        (len(independent), frozenset(independent)),
+    )
 
 
 def from_json(text: str) -> Forest:

@@ -21,8 +21,8 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator
 
 from .construct import realize_any
-from .degseq import DegreeSequence, as_degree_sequence, validate
-from .forest import Forest, ForestError
+from .degseq import DegreeSequence, SequenceStats, as_degree_sequence, validate
+from .forest import Forest, ForestError, _dominate, _independent
 
 DEFAULT_SIZE_CAP = 14
 DEFAULT_SWEEP_MAX_N = 10
@@ -386,6 +386,23 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             yield tuple(edges)
 
 
+def _checked_walk(
+    degrees: "DegreeSequence | Iterable[int]", iso_dedup: bool, cap: int
+) -> tuple[SequenceStats, Iterator[tuple[tuple[int, int], ...]]]:
+    """The sequence's counts and the edge sets of its realizations,
+    after the checks that both public walks make."""
+    if type(cap) is not int:
+        raise ValueError(f"cap must be an integer, got {cap!r}")
+    seq = as_degree_sequence(degrees)
+    stats = validate(seq)
+    if stats.n - stats.n0 > cap:
+        raise SizeCapExceededError(
+            f"positive part has {stats.n - stats.n0} entries, cap is {cap}"
+        )
+    walk = _iso_edge_sets if iso_dedup else _labeled_edge_sets
+    return stats, walk(seq.degrees)
+
+
 def enumerate_realizations(
     degrees: "DegreeSequence | Iterable[int]",
     iso_dedup: bool = False,
@@ -398,17 +415,25 @@ def enumerate_realizations(
     sequence, so zero entries are the trailing, isolated vertices.
     ``cap`` must be of type ``int`` exactly, as degrees must.
     """
-    if type(cap) is not int:
-        raise ValueError(f"cap must be an integer, got {cap!r}")
-    seq = as_degree_sequence(degrees)
-    stats = validate(seq)
-    if stats.n - stats.n0 > cap:
-        raise SizeCapExceededError(
-            f"positive part has {stats.n - stats.n0} entries, cap is {cap}"
-        )
-    walk = _iso_edge_sets if iso_dedup else _labeled_edge_sets
-    for edges in walk(seq.degrees):
+    stats, edge_sets = _checked_walk(degrees, iso_dedup, cap)
+    for edges in edge_sets:
         yield Forest(stats.n, edges)
+
+
+def _walk_order(n: int, edges: tuple[tuple[int, int], ...]) -> tuple[list[int], list[int]]:
+    """Order and parent array of a forest that the iso walk yields, as
+    ``Forest._rooted`` gives them, rooted where the walk rooted it.
+
+    Each ``(p, v)`` edge is emitted after ``p`` is placed, so the roots,
+    isolated vertices included, followed by every ``v`` in emission
+    order meet each vertex after its parent.
+    """
+    parent = [-1] * n
+    for p, v in edges:
+        parent[v] = p
+    order = [v for v in range(n) if parent[v] < 0]
+    order += [v for _, v in edges]
+    return order, parent
 
 
 def empirical_extremes(
@@ -417,21 +442,30 @@ def empirical_extremes(
     """Fold domination/independence extremes over every realization.
 
     Statistics and witnesses come from the one forest per isomorphism
-    class that ``enumerate_realizations(iso_dedup=True)`` builds, which
+    class that ``enumerate_realizations(iso_dedup=True)`` yields, which
     realizes the same extremes because relabelling changes neither
-    number; once that walk has validated the sequence, the labelled
-    count comes from ``_labeled_count`` in closed form.  Each witness
-    is the first class in yield order that takes its extreme.
+    number.  Both greedy folds run over the walk's own edges, so only a
+    class that sets a new value becomes a ``Forest``; once the walk has
+    validated the sequence, the labelled count comes from
+    ``_labeled_count`` in closed form.  Each witness is the first class
+    in yield order that takes its extreme.
     """
     seq = as_degree_sequence(degrees)
+    stats, edge_sets = _checked_walk(seq, True, cap)
+    n = stats.n
     iso = 0
     # value -> the first class that takes it
     gammas: dict[int, Forest] = {}
     alphas: dict[int, Forest] = {}
-    for forest in enumerate_realizations(seq, iso_dedup=True, cap=cap):
+    for edges in edge_sets:
         iso += 1
-        gammas.setdefault(forest.domination_number()[0], forest)
-        alphas.setdefault(forest.independence_number()[0], forest)
+        order, parent = _walk_order(n, edges)
+        gamma = len(_dominate(order, parent, [False] * (n + 1)))
+        alpha = len(_independent(order, parent))
+        if gamma not in gammas or alpha not in alphas:
+            forest = Forest(n, edges)
+            gammas.setdefault(gamma, forest)
+            alphas.setdefault(alpha, forest)
     return EnumerationReport(
         sequence=seq,
         realization_count_labeled=_labeled_count(seq.degrees),

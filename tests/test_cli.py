@@ -164,6 +164,26 @@ def test_build_solve_round_trip(capsys, tmp_path):
     assert len(solved["alpha_witness"]) == 4
 
 
+def test_solve_walks_the_forest_once(capsys, monkeypatch, tmp_path):
+    # both solvers fold over one rooted traversal of the loaded forest
+    path = tmp_path / "forest.json"
+    path.write_text(Forest(7, [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)]).to_json())
+    walks = []
+    rooted = Forest._rooted
+
+    def counting(self, *args):
+        walks.append(self.n)
+        return rooted(self, *args)
+
+    monkeypatch.setattr(Forest, "_rooted", counting)
+    code, out, _ = run(capsys, ["solve", "--json", str(path)])
+    assert code == 0
+    assert walks == [7]
+    solved = json.loads(out)
+    assert (solved["gamma"], solved["gamma_witness"]) == (3, [1, 2, 5])
+    assert (solved["alpha"], solved["alpha_witness"]) == (4, [0, 2, 4, 5])
+
+
 def test_build_human_reports_match(capsys, tmp_path):
     path = str(tmp_path / "out.json")
     code, out, _ = run(capsys, ["build", "3,1,1,1", path])

@@ -221,6 +221,24 @@ def test_extremal_build_constructs_one_forest(monkeypatch, degrees, branch):
     assert cert.forest.degree_sequence() == DegreeSequence(degrees)
 
 
+@pytest.mark.parametrize(
+    "degrees", [(3, 3) + (1,) * 8, (2, 2, 2) + (1,) * 10, (3, 2, 2, 2, 1, 1, 1)]
+)
+def test_extremal_build_walks_its_forest_once(monkeypatch, degrees):
+    # both solver values come from one rooted traversal of the certificate
+    walks = []
+    rooted = Forest._rooted
+
+    def counting(self, *args):
+        walks.append(self.n)
+        return rooted(self, *args)
+
+    monkeypatch.setattr(Forest, "_rooted", counting)
+    cert = extremal_build(degrees)
+    assert walks == [len(degrees)]
+    assert (cert.gamma, cert.alpha) == (cert.expected_gamma_max, cert.expected_alpha_min)
+
+
 def test_extremal_build_preconditions():
     with pytest.raises(PreconditionError):
         extremal_build((1, 1))

@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 import pytest
@@ -85,6 +87,34 @@ def test_parse_rejects_what_int_would_coerce(text):
     # int() coerces each of these, and split() drops the no-break space
     with pytest.raises(ValueError, match="unexpected character"):
         DegreeSequence.parse(text)
+
+
+def _int_error(token: str) -> str:
+    with pytest.raises(ValueError) as caught:
+        int(token)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("2,zz,1,aa,aa,zz", "zz"), ("b a b 1 a", "b"), ("1,1,q,1,p,q", "q"), ("-1,1,x", "x")],
+)
+def test_parse_names_the_first_bad_token_in_text_order(text, named):
+    # repeats and later bad tokens never take the blame, and int()'s error
+    # comes before the constructor's refusal of an earlier negative entry
+    with pytest.raises(ValueError) as caught:
+        DegreeSequence.parse(text)
+    assert str(caught.value) == _int_error(named)
+
+
+def test_parse_keeps_the_int_digit_limit_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() has no digit limit here")
+    long_token = "1" * (limit + 1)
+    with pytest.raises(ValueError) as caught:
+        DegreeSequence.parse(f"2,{long_token},1,{long_token}")
+    assert str(caught.value) == _int_error(long_token)
 
 
 def test_validate_tree_sequence():

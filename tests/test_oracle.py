@@ -11,7 +11,7 @@ from brute import aut_count, brute_realizations, canonical_key
 from forestdom.construct import random_forest
 from forestdom.degseq import DegreeSequence, validate
 from forestdom.formulas import extremal_values
-from forestdom.forest import Forest, ForestError
+from forestdom.forest import Forest, ForestError, _dominate, _independent
 from forestdom import oracle
 from forestdom.oracle import (
     DEFAULT_SIZE_CAP,
@@ -27,6 +27,7 @@ from forestdom.oracle import (
     _plan,
     _ranked,
     _swap_moves,
+    _walk_order,
     empirical_extremes,
     enumerate_realizations,
     sweep_sequences,
@@ -146,6 +147,55 @@ def test_enumeration_reports_are_pinned():
     sequences += [seq + (0,) * k for seq in sequences[::5] for k in (1, 2)]
     reports = [_report_fields(empirical_extremes(d)) for d in sequences]
     assert hashlib.sha256(repr(reports).encode()).hexdigest() == REPORTS_SHA256
+
+
+def test_folds_over_the_iso_walk_match_the_forest_solvers():
+    # empirical_extremes never builds most classes as a Forest, so the
+    # walk's own rooting must give what the validated Forest gives
+    classes = 0
+    for n in range(1, 13):
+        for degrees in _forest_sequences(n):
+            for edges in _iso_edge_sets(degrees):
+                order, parent = _walk_order(n, edges)
+                assert sorted(order) == list(range(n))
+                forest = Forest(n, edges)
+                gamma = len(_dominate(order, parent, [False] * (n + 1)))
+                alpha = len(_independent(order, parent))
+                assert gamma == forest.domination_number()[0]
+                assert alpha == forest.independence_number()[0]
+                classes += 1
+    assert classes == sum(UNLABELED_FORESTS[:12])  # every forest on 1..12 vertices
+
+
+def test_empirical_extremes_builds_a_forest_only_per_new_value(monkeypatch):
+    # each class is folded over the iso walk's own edges; only a class
+    # that sets a new gamma or alpha value becomes a Forest
+    sequences = [seq.degrees for seq in sweep_sequences(10)]
+    sequences += [(3, 2, 2, 1, 1, 1, 1, 1, 0, 0), (2, 2, 1, 1, 1, 1, 0)]
+    setting = []
+    for degrees in sequences:
+        gammas, alphas, count = set(), set(), 0
+        for forest in enumerate_realizations(degrees, iso_dedup=True):
+            gamma, alpha = forest.domination_number()[0], forest.independence_number()[0]
+            count += gamma not in gammas or alpha not in alphas
+            gammas.add(gamma)
+            alphas.add(alpha)
+        setting.append(count)
+    built = []
+
+    class CountingForest(Forest):
+        def __init__(self, n, edges=()):
+            built.append(n)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(oracle, "Forest", CountingForest)
+    iso = 0
+    for degrees, count in zip(sequences, setting):
+        built.clear()
+        iso += empirical_extremes(degrees).realization_count_iso
+        assert len(built) <= count
+    # 191 of the 329 classes set a new value
+    assert (sum(setting), iso) == (191, 329)
 
 
 # ----------------------------------------------------------------------
