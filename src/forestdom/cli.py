@@ -62,11 +62,12 @@ def _emit(args, payload: dict, human: Callable[[], list[str]]) -> None:
             print(line)
 
 
-def _sequence_payload(seq: DegreeSequence) -> dict:
+def cmd_eval(args) -> int:
+    seq = DegreeSequence.parse(args.sequence)
     stats = validate(seq)
     values = _values(stats)
-    return {
-        "sequence": list(seq.degrees),
+    payload = {
+        "sequence": seq.degrees,
         "n": stats.n,
         "n0": stats.n0,
         "n1": stats.n1,
@@ -76,11 +77,6 @@ def _sequence_payload(seq: DegreeSequence) -> dict:
         "gamma_max": values.gamma_max,
         "alpha_min": values.alpha_min,
     }
-
-
-def cmd_eval(args) -> int:
-    seq = DegreeSequence.parse(args.sequence)
-    payload = _sequence_payload(seq)
     _emit(
         args,
         payload,
@@ -97,7 +93,7 @@ def cmd_build(args) -> int:
     cert = extremal_build(seq)
     write_forest(cert.forest, args.out)
     payload = {
-        "sequence": list(seq.degrees),
+        "sequence": seq.degrees,
         "out": args.out,
         "branch": cert.branch.value,
         "gamma": cert.gamma,
@@ -133,7 +129,7 @@ def cmd_solve(args) -> int:
     payload = {
         "n": forest.n,
         "edge_count": len(forest.edges),
-        "degree_sequence": list(seq.degrees),
+        "degree_sequence": seq.degrees,
         "gamma": gamma,
         "gamma_witness": sorted(gamma_set),
         "alpha": alpha,
@@ -159,7 +155,7 @@ def _verify_payload(seq: DegreeSequence, cap: int) -> dict:
     report = empirical_extremes(seq, cap=cap)
     values = extremal_values(seq)
     return {
-        "sequence": list(seq.degrees),
+        "sequence": seq.degrees,
         "labeled": report.realization_count_labeled,
         "iso": report.realization_count_iso,
         "gamma_max_empirical": report.gamma_max,
@@ -270,10 +266,8 @@ def cmd_swap_search(args) -> int:
     forest = swap_search_gamma(seq, restarts=args.restarts, seed=args.seed)
     gamma, _ = forest.domination_number()
     values = extremal_values(seq)
-    if args.out:
-        write_forest(forest, args.out)
     payload = {
-        "sequence": list(seq.degrees),
+        "sequence": seq.degrees,
         "gamma_found": gamma,
         "gamma_max": values.gamma_max,
         "attained": gamma == values.gamma_max,
@@ -281,6 +275,7 @@ def cmd_swap_search(args) -> int:
         "seed": args.seed,
     }
     if args.out:
+        write_forest(forest, args.out)
         payload["out"] = args.out
     _emit(
         args,

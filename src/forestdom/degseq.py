@@ -93,15 +93,13 @@ class DegreeSequence:
                 " in comma-separated degree sequence"
             )
         # int() once per distinct token, in first-seen order, so the first
-        # bad token in the text is the one named; the token list is freed
-        # before the entries are built, and the constructor sorts them
-        counts = Counter(text.replace(",", " ").split())
-        if not counts:
+        # bad token in the text is the one named; the constructor tallies
+        # and sorts the entries
+        tokens = text.replace(",", " ").split()
+        if not tokens:
             raise ValueError("empty degree sequence")
-        degrees: list[int] = []
-        for token, count in counts.items():
-            degrees.extend(repeat(int(token), count))
-        return cls(degrees)
+        value = {token: int(token) for token in dict.fromkeys(tokens)}
+        return cls(map(value.__getitem__, tokens))
 
     def without_zeros(self) -> "DegreeSequence":
         """Drop all zero entries (they only add isolated vertices)."""

@@ -193,14 +193,13 @@ class Forest:
             parent[start] = -1
             # the loop walks the run as it grows: breadth-first order
             run = [start]
-            append = run.append
             for v in run:
                 up = parent[v]
                 # acyclic: the parent is the only neighbour reached already
                 for w in adj[v]:
                     if w != up:
                         parent[w] = v
-                        append(w)
+                        run.append(w)
             order += run
         return order, parent
 

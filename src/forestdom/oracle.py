@@ -274,14 +274,6 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
     planted: dict[int, list[_Planted]] = {}
     heights: dict[int, int] = {}  # bit h is set when planted[key] has height h
 
-    def fit(part: int, cap: int) -> list[_Planted]:
-        """``planted[part]`` cut, in order, to its trees of height at most
-        ``cap``."""
-        trees = planted[part]
-        if heights[part] >> (cap + 1):
-            trees = [p for p in trees if p[0] <= cap]
-        return trees
-
     def centre_height(groups: tuple, cap: int) -> int:
         """The tallest t <= cap at which every part has a tree no taller
         than t and two children can stand at height t, else -1."""
@@ -314,7 +306,10 @@ def _iso_edge_sets(degrees: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], 
             for groups in splits:
                 top = cap if planted_root else centre_height(groups, cap)
                 if top >= 0:
-                    fitted = [(fit(part, top), copies) for part, copies in groups]
+                    fitted = [
+                        ([p for p in planted[part] if p[0] <= top], copies)
+                        for part, copies in groups
+                    ]
                     for children in _picks(fitted):
                         yield j, children
 
@@ -566,11 +561,12 @@ def _apply_move(edges: list[tuple[int, int]], move: _Move) -> list[tuple[int, in
     return out
 
 
-# (x, y, crossed, e1, e2, key): a move held by its edges rather than their
+# (x, y, e1, e2, key): a move held by its edges rather than their
 # positions.  With x = (a, b) and y = (c, d), e1 and e2 are (a, c), (b, d),
-# or (a, d), (b, c) when crossed, each with its smaller end first.
+# or (a, d), (b, c) when crossed, each with its smaller end first; as x
+# and y are disjoint, d is in e1 exactly when they are crossed.
 _PlanMove = tuple[
-    tuple[int, int], tuple[int, int], bool, tuple[int, int], tuple[int, int], int
+    tuple[int, int], tuple[int, int], tuple[int, int], tuple[int, int], int
 ]
 # an edge set's moves onto forests, its best moves if they beat its own
 # value (else none) and its neutral moves, which keep that value, each
@@ -594,8 +590,7 @@ def _plan(n: int, edges: list[tuple[int, int]], mask: int, memo: dict) -> _Plan:
         value = memo[key]
         if value is None:
             continue
-        y = edges[j]
-        entry = (edges[i], y, y[1] in e1, e1, e2, key)
+        entry = (edges[i], edges[j], e1, e2, key)
         by_value.setdefault(value, []).append(entry)
     onto = [entry for moves in by_value.values() for entry in moves]
     top = max(by_value, default=current)
@@ -615,11 +610,11 @@ def _ranked(moves: list[_PlanMove], edges: list[tuple[int, int]]) -> list[_Move]
     """
     pos = {e: k for k, e in enumerate(edges)}
     ranked = []
-    for x, y, crossed, e1, e2, key in moves:
+    for x, y, e1, e2, key in moves:
         i, j = pos[x], pos[y]
         if i < j:
             ranked.append((i, j, e1, e2, key))
-        elif crossed:
+        elif y[1] in e1:  # crossed
             ranked.append((j, i, e2, e1, key))
         else:
             ranked.append((j, i, e1, e2, key))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -807,3 +808,43 @@ def test_solve_json_builds_no_human_lines(capsys, monkeypatch, tmp_path):
     assert code == 0
     assert err == ""
     assert json.loads(out)["degree_sequence"] == [2, 2, 2, 1, 1]
+
+
+def _pinned_cli_outputs(capsys, tmp_path):
+    """Per command line: the exit code, stdout and stderr, then the file
+    it wrote, with ``tmp_path`` as a fixed token."""
+    built = str(tmp_path / "built.json")
+    found = str(tmp_path / "found.json")
+    commands = []
+    for seq in oracle.sweep_sequences(7):
+        text = str(seq)
+        commands += [
+            ["eval", text],
+            ["verify", text],
+            ["build", text, built],
+            ["solve", built],
+            ["swap-search", text, "--seed", "3"],
+            ["swap-search", text, "--seed", "3", "--out", found],
+        ]
+    commands.append(["sweep", "--max-n", "9"])
+    outputs = []
+    for argv in commands:
+        for flags in ([], ["--json"]):
+            outputs.append(run(capsys, argv + flags))
+            for path in {built, found} & set(argv[2:]):
+                outputs.append(Path(path).read_text())
+    return repr(outputs).replace(str(tmp_path), "TMP")
+
+
+# SHA-256 of _pinned_cli_outputs(): eval, verify, build, solve and
+# swap-search --seed 3, with and without --out, over sweep_sequences(7),
+# and sweep --max-n 9, each with and without --json.  Recorded while the
+# payloads still copied the sorted sequence into a list
+CLI_OUTPUTS_SHA256 = (
+    "e8f26bf1e32968dd4c48fac414204d3784bf21b49a35c68dbaae2b7765deb8d6"
+)
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path):
+    digest = hashlib.sha256(_pinned_cli_outputs(capsys, tmp_path).encode()).hexdigest()
+    assert digest == CLI_OUTPUTS_SHA256

@@ -276,6 +276,27 @@ def test_builder_outputs_are_pinned():
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == BUILDERS_SHA256
 
 
+# SHA-256 of repr() of: for each _pinned_builder_sequences() member, the
+# extremal_build certificate's (forest edges, gamma, alpha, branch value),
+# or the class name of the error it raises
+EXTREMAL_BUILD_SHA256 = (
+    "0f508d5185a67e0d4215acd277b33259c7876325eeefa0ce668b900d4f9a9495"
+)
+
+
+def test_extremal_build_certificates_are_pinned():
+    outputs = []
+    for degrees in _pinned_builder_sequences():
+        try:
+            cert = extremal_build(degrees)
+        except ValueError as error:
+            outputs.append(type(error).__name__)
+        else:
+            outputs.append((cert.forest.edges, cert.gamma, cert.alpha, cert.branch.value))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == EXTREMAL_BUILD_SHA256
+
+
 # ----------------------------------------------------------------------
 # random_forest
 

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
+from forestdom import degseq
 from forestdom.degseq import (
     Branch,
     DegreeSequence,
@@ -115,6 +116,28 @@ def test_parse_keeps_the_int_digit_limit_error():
     with pytest.raises(ValueError) as caught:
         DegreeSequence.parse(f"2,{long_token},1,{long_token}")
     assert str(caught.value) == _int_error(long_token)
+
+
+@pytest.mark.parametrize(
+    "text, tokens, degrees",
+    [
+        ("3,1,1,2,1,3", ["3", "1", "2"], (3, 3, 2, 1, 1, 1)),
+        ("2 2 1 1", ["2", "1"], (2, 2, 1, 1)),
+    ],
+)
+def test_parse_calls_int_once_per_distinct_token(monkeypatch, text, tokens, degrees):
+    # a module global named int shadows the builtin inside degseq; an int
+    # subclass, so the constructor's exact-type check accepts its entries
+    seen = []
+
+    class Counting(int):
+        def __new__(cls, token):
+            seen.append(token)
+            return super().__new__(cls, token)
+
+    monkeypatch.setattr(degseq, "int", Counting, raising=False)
+    assert DegreeSequence.parse(text).degrees == degrees
+    assert seen == tokens
 
 
 def test_validate_tree_sequence():
